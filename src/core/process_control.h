@@ -4,12 +4,14 @@
 // their JVM processes. This interface abstracts that: the simulated station
 // implements it against the event kernel, and the POSIX backend implements
 // it with fork/exec/SIGKILL on real child processes. The recoverer (core) is
-// identical over both.
+// the same code over both.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
+
+#include "util/time.h"
 
 namespace mercury::core {
 
@@ -41,6 +43,16 @@ class ProcessControl {
 
   /// Components currently being restarted (subset of component_names()).
   virtual std::vector<std::string> restarting_now() const = 0;
+
+  /// Deadline for one restart action over `names`; zero means none. The
+  /// recoverer passes its configured deadline, which the default keeps.
+  /// Implementations that know each component's own startup allowance
+  /// derive the group's deadline from its members instead.
+  virtual util::Duration restart_deadline(const std::vector<std::string>& names,
+                                          util::Duration configured) const {
+    (void)names;
+    return configured;
+  }
 
   // --- Recursive recovery (§7) --------------------------------------------
   // "With recursive recovery, we can accommodate a wider range of recovery

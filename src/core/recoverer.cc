@@ -585,9 +585,11 @@ void Recoverer::dispatch(std::uint64_t action_id) {
   }
 
   // Deadline before dispatch: ProcessControl may complete synchronously.
-  if (config_.restart_deadline > Duration::zero()) {
+  const Duration deadline =
+      process_control_.restart_deadline(restart.components, config_.restart_deadline);
+  if (deadline > Duration::zero()) {
     restart.deadline_event =
-        sim_.schedule_after(config_.restart_deadline, "rec.restart-deadline",
+        sim_.schedule_after(deadline, "rec.restart-deadline",
                             [this, action_id] { on_restart_timeout(action_id); });
   }
   const std::vector<std::string> components = restart.components;

@@ -123,6 +123,7 @@ struct RecConfig {
   /// Size it above the worst-case contended startup (the experiment rig uses
   /// the calibration's slowest component x full contention x margin). Zero
   /// disables: legacy behavior, trust on_complete unconditionally.
+  /// ProcessControl::restart_deadline may override it per restart group.
   util::Duration restart_deadline = util::Duration::zero();
   /// Exponential backoff between successive restart attempts of the same
   /// cell: attempt n of a streak starts no earlier than backoff_base *
@@ -242,6 +243,8 @@ class Recoverer {
   std::uint64_t touch_promotions() const { return touch_promotions_; }
   /// Queued restarts dispatched by the background lazy drain.
   std::uint64_t lazy_drains() const { return lazy_drains_; }
+  /// Failure reports waiting in the queue (deferred or blocked).
+  std::size_t queued_reports() const { return queue_.size(); }
 
  private:
   /// One in-flight recovery action. Deadline, backoff streak, attempt

@@ -127,11 +127,15 @@ inline FileState read_checkpoint_file(const std::string& path,
   return FileState::kValid;
 }
 
-/// Write `name`'s checkpoint to `path`; returns success.
+/// Write `name`'s checkpoint to `path`; returns success. The line goes to
+/// `path`.tmp first and is renamed over `path`, so a concurrent reader (the
+/// spawn gate, an operator) sees the previous snapshot or the new one, never
+/// the truncated file an in-place rewrite exposes while it is written.
 inline bool write_checkpoint_file(const std::string& path,
                                   const std::string& name,
                                   const std::string& payload) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
+  const std::string staging = path + ".tmp";
+  std::FILE* file = std::fopen(staging.c_str(), "w");
   if (file == nullptr) return false;
   const std::uint64_t checksum =
       fnv1a(checksum_body(kFileVersion, name, payload));
@@ -139,7 +143,8 @@ inline bool write_checkpoint_file(const std::string& path,
       file, "%s %d %s %zu %s %llx\n", std::string(kMagic).c_str(),
       kFileVersion, name.c_str(), payload.size(), payload.c_str(),
       static_cast<unsigned long long>(checksum));
-  return std::fclose(file) == 0 && rc > 0;
+  return std::fclose(file) == 0 && rc > 0 &&
+         std::rename(staging.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace mercury::posix::ckpt

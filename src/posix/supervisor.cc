@@ -17,33 +17,58 @@
 
 namespace mercury::posix {
 
+using util::Duration;
 using util::Error;
 using util::Status;
+using util::TimePoint;
 
 namespace {
 
-util::TimePoint log_now(Clock::time_point start) {
-  return util::TimePoint::from_seconds(
-      std::chrono::duration<double>(Clock::now() - start).count());
-}
-
 const Clock::time_point kProcessStart = Clock::now();
 
-void log_info(const std::string& who, const std::string& what) {
-  util::LogLine(util::LogLevel::kInfo, log_now(kProcessStart), who) << what;
+/// The backend's one clock: wall-clock seconds since process start. The
+/// supervisor advances its simulator to this before every step, so traces,
+/// logs and rec's timers all read the same time line.
+TimePoint wall_now() {
+  return TimePoint::from_seconds(
+      std::chrono::duration<double>(Clock::now() - kProcessStart).count());
 }
 
-/// Trace timestamps on this backend are wall-clock seconds since process
-/// start — the same origin log_now uses, so logs and traces line up.
-util::TimePoint trace_now() { return log_now(kProcessStart); }
+Duration to_duration(Millis ms) {
+  return Duration::millis(static_cast<double>(ms.count()));
+}
+
+// Built-in recovery policy of this backend (no SupervisorConfig knob):
+/// Uncured root restarts of one worker accumulate over this window.
+constexpr Duration kRootRetryWindow = Duration::seconds(30.0);
+/// Minimum spacing between proactive restarts of the same worker.
+constexpr Duration kRejuvenationSpacing = Duration::seconds(2.0);
+
+/// The single place SupervisorConfig's policy fields meet core::RecConfig.
+/// Same-cell backoff and the per-chain attempt budget stay off (RecConfig's
+/// defaults); restart deadlines come from the workers (restart_deadline).
+core::RecConfig rec_config(const SupervisorConfig& config) {
+  core::RecConfig rec;
+  rec.escalation_window = to_duration(config.escalation_window);
+  rec.max_root_restarts = config.max_root_restarts;
+  rec.root_retry_window = kRootRetryWindow;
+  if (config.parallel_recovery) {
+    rec.dispatch = config.traffic_driven ? core::DispatchMode::kOnDemand
+                                         : core::DispatchMode::kDag;
+  }
+  rec.traffic_driven = config.traffic_driven;
+  rec.lazy_drain_interval = to_duration(config.lazy_drain);
+  return rec;
+}
 
 }  // namespace
 
 PosixSupervisor::PosixSupervisor(core::RestartTree tree,
                                  std::vector<WorkerSpec> workers,
                                  SupervisorConfig config)
-    : tree_(std::move(tree)), config_(config) {
-  assert(tree_.validate().ok());
+    : config_(config),
+      link_(sim_, "fd", "rec", Duration::zero()),
+      rec_(sim_, link_, std::move(tree), oracle_, *this, rec_config(config)) {
   for (auto& spec : workers) {
     Worker worker;
     worker.spec = std::move(spec);
@@ -51,17 +76,37 @@ PosixSupervisor::PosixSupervisor(core::RestartTree tree,
   }
   // Tree components and workers must agree, or recovery actions would
   // reference processes we do not manage.
-  const auto tree_components = tree_.all_components();
+  const auto tree_components = rec_.tree().all_components();
   assert(tree_components.size() == workers_.size());
   for (const auto& component : tree_components) {
     assert(workers_.contains(component) && "tree component without a worker");
     (void)component;
   }
+  link_.bind("fd", [this](const msg::Message& message) { on_rec_command(message); });
+  rec_.start();
 }
 
 PosixSupervisor::~PosixSupervisor() = default;
 
+void PosixSupervisor::log(const std::string& who, const std::string& what) const {
+  util::LogLine(util::LogLevel::kInfo, sim_.now(), who) << what;
+}
+
+void PosixSupervisor::advance() {
+  sim_.run_until(wall_now());
+  const auto& records = rec_.history();
+  for (std::size_t i = history_.size(); i < records.size(); ++i) {
+    const core::RecoveryRecord& record = records[i];
+    history_.push_back(PosixRecoveryRecord{
+        record.reported_component, record.node, record.restarted,
+        record.escalation_level,
+        std::chrono::duration_cast<Millis>(std::chrono::duration<double>(
+            (record.complete_time - record.report_time).to_seconds()))});
+  }
+}
+
 Status PosixSupervisor::start_all() {
+  advance();
   for (auto& [name, worker] : workers_) spawn_worker(worker);
   const bool ready = run_until([this] { return all_up(); }, Millis{10'000});
   if (!ready) return Error("workers failed to become READY within 10 s");
@@ -73,10 +118,10 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
 
   // Checkpoint gate (ISSUE 3): validate the state file before the spawn so
   // the child never warm-starts from a corrupt or foreign snapshot. Invalid
-  // files are deleted — then, with partner copies on (ISSUE 7's L1 mirror),
-  // the file is rewritten from the supervisor's replica of the last
-  // validated payload, so losing the on-disk tier does not force a cold
-  // start. Without a replica the worker finds nothing and rebuilds cold.
+  // files are deleted — then, with partner copies on (the L1 tier), the
+  // file is rewritten from the supervisor's replica of the last validated
+  // payload, so losing the on-disk tier does not force a cold start.
+  // Without a replica the worker finds nothing and rebuilds cold.
   if (!worker.spec.checkpoint_file.empty()) {
     const auto restore_from_replica = [&]() {
       if (!config_.keep_partner_copies || !worker.replica_payload.has_value()) {
@@ -87,8 +132,8 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
                                       *worker.replica_payload)) {
         ++partner_restores_;
         obs::incr("posix.partner_restores");
-        log_info(worker.spec.name,
-                 "checkpoint file restored from partner copy (warm start kept)");
+        log(worker.spec.name,
+            "checkpoint file restored from partner copy (warm start kept)");
       }
     };
     ckpt::CheckpointFile file;
@@ -101,8 +146,7 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
         ::unlink(worker.spec.checkpoint_file.c_str());
         ++checkpoints_deleted_;
         obs::incr("posix.checkpoints_deleted");
-        log_info(worker.spec.name,
-                 "invalid checkpoint file deleted (cold start enforced)");
+        log(worker.spec.name, "invalid checkpoint file deleted (cold start enforced)");
         restore_from_replica();
         break;
       case ckpt::FileState::kValid:
@@ -115,26 +159,25 @@ void PosixSupervisor::spawn_worker(Worker& worker) {
     }
   }
 
+  // A spawn failure surfaces as a worker that never becomes READY: its
+  // startup deadline reports it (or, inside a restart, rec's group deadline
+  // escalates it).
+  worker.state = WorkerState::kStarting;
+  worker.ready_deadline = sim_.now() + to_duration(worker.spec.startup_timeout);
+  worker.outstanding_seq = 0;
   auto spawned = ChildProcess::spawn(worker.spec.argv);
   if (!spawned.ok()) {
-    // Spawn failures surface as a worker that never becomes READY; the
-    // normal escalation path handles it.
-    log_info(worker.spec.name, "spawn failed: " + spawned.error().message());
-    worker.state = WorkerState::kDown;
-    worker.ready_deadline = Clock::now() + worker.spec.startup_timeout;
+    log(worker.spec.name, "spawn failed: " + spawned.error().message());
     return;
   }
   worker.process.emplace(std::move(spawned).value());
-  worker.state = WorkerState::kStarting;
-  worker.ready_deadline = Clock::now() + worker.spec.startup_timeout;
-  worker.outstanding_seq = 0;
   // Close any span left open by a killed incarnation before opening the new
   // spawn->READY span.
   if (worker.restart_span != 0) {
-    obs::end_span(trace_now(), worker.restart_span, {{"outcome", "superseded"}});
+    obs::end_span(sim_.now(), worker.restart_span, {{"outcome", "superseded"}});
   }
   worker.restart_span =
-      obs::begin_span(trace_now(), "restart", "restart:" + worker.spec.name,
+      obs::begin_span(sim_.now(), "restart", "restart:" + worker.spec.name,
                       "posix", {{"component", worker.spec.name}});
   obs::incr("posix.spawns");
 }
@@ -154,7 +197,12 @@ bool PosixSupervisor::run_until(const std::function<bool()>& predicate,
 }
 
 void PosixSupervisor::pump(Millis max_wait) {
-  // Wait for child output or the next deadline, whichever is sooner.
+  // Wait for child output, the slice, or rec's next timer, whichever is
+  // soonest: poll never sleeps past the simulator's next event.
+  const double until_timer_ms =
+      std::ceil((sim_.next_event_time() - wall_now()).to_millis());
+  const int wait_ms = static_cast<int>(
+      std::clamp(until_timer_ms, 0.0, static_cast<double>(max_wait.count())));
   std::vector<pollfd> fds;
   std::vector<Worker*> fd_owners;
   for (auto& [name, worker] : workers_) {
@@ -164,32 +212,22 @@ void PosixSupervisor::pump(Millis max_wait) {
     }
   }
   const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                        static_cast<nfds_t>(fds.size()),
-                        static_cast<int>(max_wait.count()));
+                        static_cast<nfds_t>(fds.size()), wait_ms);
   if (rc < 0 && errno != EINTR) {
     // A real poll failure (EBADF from a raced-away fd, ENOMEM, ...) must not
     // kill the supervision loop — the drains below are non-blocking and the
     // deadline checks still have to run. EINTR is routine (signals).
-    log_info("supervisor", std::string("poll failed: ") + std::strerror(errno));
+    log("supervisor", std::string("poll failed: ") + std::strerror(errno));
   }
 
+  advance();
   for (Worker* worker : fd_owners) drain_worker(*worker);
   send_pings();
   check_deadlines();
   check_health_policy();
-  maybe_spawn_pending();
-  maybe_drain_deferred();
-  maybe_finish_restarts();
-}
-
-bool PosixSupervisor::masked(const std::string& name) const {
-  for (const auto& [id, action] : actions_) {
-    if (std::find(action.group.begin(), action.group.end(), name) !=
-        action.group.end()) {
-      return true;
-    }
-  }
-  return false;
+  complete_ready_groups();
+  // Deliver what FD and the completions just sent to rec, at this instant.
+  advance();
 }
 
 void PosixSupervisor::drain_worker(Worker& worker) {
@@ -197,10 +235,10 @@ void PosixSupervisor::drain_worker(Worker& worker) {
   for (const auto& line : worker.process->read_lines()) {
     if (line == "READY " + worker.spec.name) {
       worker.state = WorkerState::kUp;
-      worker.next_ping = Clock::now() + config_.ping_period;
-      log_info(worker.spec.name, "READY");
+      worker.next_ping = sim_.now() + to_duration(config_.ping_period);
+      log(worker.spec.name, "READY");
       if (worker.restart_span != 0) {
-        obs::end_span(trace_now(), worker.restart_span, {{"outcome", "ready"}});
+        obs::end_span(sim_.now(), worker.restart_span, {{"outcome", "ready"}});
         worker.restart_span = 0;
       }
     } else if (util::starts_with(line, "PONG ")) {
@@ -231,42 +269,34 @@ std::optional<double> PosixSupervisor::latest_memory_mb(
 
 void PosixSupervisor::check_health_policy() {
   if (config_.memory_limit_mb <= 0.0) return;
-  if (!actions_.empty()) return;  // reactive work first
-  const auto now = Clock::now();
   for (auto& [name, worker] : workers_) {
-    if (worker.state != WorkerState::kUp) continue;
+    if (worker.state != WorkerState::kUp || masked_.contains(name)) continue;
     if (!worker.memory_mb || *worker.memory_mb <= config_.memory_limit_mb) continue;
-    if (now - worker.last_rejuvenation < config_.rejuvenation_spacing) continue;
-    log_info(name, "memory " + util::format_fixed(*worker.memory_mb, 1) +
-                       " MB over limit; proactive rejuvenation (§7)");
-    obs::instant(trace_now(), "recover", "rec.rejuvenate", "posix",
-                 {{"component", name},
-                  {"mem_mb", util::format_fixed(*worker.memory_mb, 1)}});
+    if (sim_.now() - worker.last_rejuvenation < kRejuvenationSpacing) continue;
+    const std::string mem_mb = util::format_fixed(*worker.memory_mb, 1);
+    // rec declines while reactive work that could interfere is in flight.
+    if (!rec_.planned_restart(name)) return;
+    log(name, "memory " + mem_mb + " MB over limit; proactive rejuvenation (§7)");
+    obs::instant(sim_.now(), "recover", "rec.rejuvenate", "posix",
+                 {{"component", name}, {"mem_mb", mem_mb}});
     obs::incr("posix.rejuvenations");
-    worker.last_rejuvenation = now;
+    worker.last_rejuvenation = sim_.now();
     worker.memory_mb.reset();  // a fresh figure arrives after the restart
-    ++rejuvenations_;
-    PendingRestart restart;
-    restart.reported_worker = name;
-    restart.reported_at = now;
-    const auto cell = tree_.lowest_cell_covering(name);
-    restart.node = cell ? *cell : tree_.root();
-    begin_restart(std::move(restart));
     return;  // one proactive action per pump
   }
 }
 
 void PosixSupervisor::send_pings() {
-  const auto now = Clock::now();
+  const TimePoint now = sim_.now();
   for (auto& [name, worker] : workers_) {
     if (worker.state != WorkerState::kUp) continue;
-    if (masked(name)) continue;
+    if (masked_.contains(name)) continue;
     if (worker.outstanding_seq != 0) continue;
     if (now < worker.next_ping) continue;
     const std::uint64_t seq = seq_++;
     worker.outstanding_seq = seq;
-    worker.ping_deadline = now + config_.ping_timeout;
-    worker.next_ping = now + config_.ping_period;
+    worker.ping_deadline = now + to_duration(config_.ping_timeout);
+    worker.next_ping = now + to_duration(config_.ping_period);
     if (worker.process.has_value()) {
       worker.process->write_line("PING " + std::to_string(seq));
       ++pings_sent_;
@@ -275,373 +305,119 @@ void PosixSupervisor::send_pings() {
 }
 
 void PosixSupervisor::check_deadlines() {
-  const auto now = Clock::now();
+  const TimePoint now = sim_.now();
   for (auto& [name, worker] : workers_) {
-    // The startup deadline applies even to masked (in-flight group) workers:
-    // the restart path is itself a fault domain, and a hung member startup
-    // must surface (maybe_finish_restart's any_dead escalation) rather than
-    // leave the whole action in flight forever.
+    // Masked workers belong to rec: a hung member of a restart group is
+    // aborted by the group's deadline, a parked one stays down.
+    if (masked_.contains(name)) continue;
     if (worker.state == WorkerState::kStarting && now >= worker.ready_deadline) {
       worker.state = WorkerState::kDown;
-      log_info(name, "startup timed out; reporting failure");
-      obs::instant(trace_now(), "detect", "fd.report", "posix",
-                   {{"component", name}, {"cause", "startup-timeout"}});
-      obs::incr("fd.reports");
-      obs::instant(trace_now(), "restart", "restart.timeout", "posix",
-                   {{"component", name}});
+      ++startup_timeouts_;
       obs::incr("posix.restart_timeouts");
-      ++restart_timeouts_;
-      if (!masked(name)) on_failure(name);
+      report_failure(name, "startup-timeout");
       continue;
     }
-    if (masked(name)) continue;
     if (worker.state == WorkerState::kUp && worker.outstanding_seq != 0 &&
         now >= worker.ping_deadline) {
       worker.outstanding_seq = 0;
-      log_info(name, "missed ping; reporting failure");
-      obs::instant(trace_now(), "detect", "fd.report", "posix",
-                   {{"component", name}, {"cause", "missed-ping"}});
-      obs::incr("fd.reports");
-      on_failure(name);
+      report_failure(name, "missed-ping");
     }
   }
 }
 
-void PosixSupervisor::park(const std::string& name, const std::string& reason) {
-  log_info(name, "hard failure (" + reason + "); parking");
-  obs::instant(trace_now(), "recover", "rec.parked", "posix",
-               {{"component", name}, {"reason", reason}});
-  obs::incr("rec.parked");
-  hard_failures_.push_back(name);
+void PosixSupervisor::report_failure(const std::string& name,
+                                     const std::string& cause) {
+  log(name, cause + "; reporting failure");
+  obs::instant(sim_.now(), "detect", "fd.report", "fd",
+               {{"component", name}, {"cause", cause}});
+  obs::incr("fd.reports");
+  msg::Message report = msg::make_command("fd", "rec", seq_++, "report-failure");
+  report.body.set_attr("component", name);
+  link_.send(report);
 }
 
-void PosixSupervisor::on_failure(const std::string& name) {
-  if (std::find(hard_failures_.begin(), hard_failures_.end(), name) !=
-      hard_failures_.end()) {
-    return;
-  }
-  // A member of an in-flight group is already being restarted; the action's
-  // own deadline/escalation machinery handles it going wrong.
-  if (masked(name)) return;
-  // Legacy single-action mode: busy means busy; FD re-detects afterwards.
-  if (!config_.parallel_recovery && !actions_.empty()) return;
-
-  // Traffic-driven lazy recovery (ISSUE 9): while any action is in flight,
-  // further failures wait — a client touch promotes them, the background
-  // drain sweeps the rest. Mirrors core::Recoverer's traffic_active path.
-  if (config_.traffic_driven && config_.parallel_recovery &&
-      !actions_.empty()) {
-    for (const DeferredFailure& entry : deferred_) {
-      if (entry.name == name) return;
-    }
-    obs::instant(trace_now(), "recover", "rec.defer", "posix",
-                 {{"component", name}});
-    obs::incr("rec.deferred");
-    log_info(name, "failure deferred (traffic-driven lazy recovery)");
-    // The background drain waits a full interval from the first deferral
-    // (mirrors the sim recoverer's schedule_lazy_drain); a touch can still
-    // promote at any time.
-    if (deferred_.empty()) next_lazy_ = Clock::now() + config_.lazy_drain;
-    deferred_.push_back(DeferredFailure{name, false});
-    return;
-  }
-
-  act_on_failure(name);
-}
-
-void PosixSupervisor::act_on_failure(const std::string& name) {
-  PendingRestart restart;
-  restart.reported_worker = name;
-  restart.reported_at = Clock::now();
-
-  const bool escalating =
-      last_.has_value() &&
-      std::find(last_->group.begin(), last_->group.end(), name) !=
-          last_->group.end() &&
-      (Clock::now() - last_->complete_at) < config_.escalation_window;
-
-  core::OracleQuery query;
-  query.tree = &tree_;
-  query.failed_component = name;
-  query.trace_now = trace_now().to_seconds();
-  if (escalating) {
-    query.escalation_level = last_->escalation_level + 1;
-    query.previous_node = last_->node;
-    restart.escalation_level = query.escalation_level;
-    obs::instant(trace_now(), "recover", "rec.escalate", "posix",
-                 {{"component", name},
-                  {"level", std::to_string(query.escalation_level)}});
-    obs::incr("rec.escalations");
-    if (last_->node == tree_.root()) {
-      RootHistory& history = root_history_[name];
-      const auto now = Clock::now();
-      if (history.count > 0 && now - history.last < config_.root_retry_window) {
-        ++history.count;
-      } else {
-        history.count = 1;
-      }
-      history.last = now;
-      if (history.count >= config_.max_root_restarts) {
-        obs::instant(trace_now(), "recover", "rec.hard-failure", "posix",
-                     {{"component", name},
-                      {"root_restarts", std::to_string(history.count)}});
-        obs::incr("rec.hard_failures");
-        park(name, "persists after " + std::to_string(history.count) +
-                       " full restarts");
-        return;
-      }
-    }
-  } else {
-    // Fresh failure: a new chain; the attempt budget starts over.
-    chain_attempts_ = 0;
-  }
-  // Attempt budget (ISSUE 2): a chain that keeps consuming restarts —
-  // persisting failure or crash-looping startups — is parked, not retried
-  // forever.
-  if (config_.max_attempts_per_chain > 0 &&
-      chain_attempts_ >= config_.max_attempts_per_chain) {
-    obs::instant(trace_now(), "recover", "rec.hard-failure", "posix",
-                 {{"component", name},
-                  {"attempts", std::to_string(chain_attempts_)}});
-    obs::incr("rec.hard_failures");
-    park(name, "attempt budget of " +
-                   std::to_string(config_.max_attempts_per_chain) +
-                   " restarts exhausted");
-    return;
-  }
-  ++chain_attempts_;
-  restart.node = oracle_.choose(query);
-  begin_restart(std::move(restart));
-}
-
-void PosixSupervisor::begin_restart(PendingRestart restart) {
-  restart.group = tree_.group_components(restart.node);
-  log_info("supervisor", "restarting cell " + tree_.cell(restart.node).label +
-                             " (" + util::join(restart.group, ",") + ") for " +
-                             restart.reported_worker);
-  restart.trace_span = obs::begin_span(
-      trace_now(), "recover", "rec.restart", "posix",
-      {{"component", restart.reported_worker},
-       {"cell", tree_.cell(restart.node).label},
-       {"group", util::join(restart.group, ",")},
-       {"escalation", std::to_string(restart.escalation_level)}});
-
-  // Covering supersede (ISSUE 8): an escalated action whose cell strictly
-  // covers in-flight actions absorbs them — their members get re-killed by
-  // this spawn anyway, and two conflicting actions must never coexist.
-  if (config_.parallel_recovery) absorb_conflicting(restart.node);
-
-  // Same-cell backoff (ISSUE 2): a crash-looping cell is paced, not hammered.
-  // The group stays masked while waiting; the spawn happens in
-  // maybe_spawn_pending once spawn_at arrives.
-  restart.spawn_at = Clock::now();
-  if (config_.backoff_base.count() > 0) {
-    CellBackoff& backoff = backoff_[restart.node];
-    const auto now = Clock::now();
-    // Gradual decay (ISSUE 8): each full idle decay interval forgets one
-    // step of the streak, not the whole thing — a cell that keeps failing
-    // slightly slower than the decay window no longer resets to zero.
-    if (backoff.streak > 0 && config_.backoff_decay.count() > 0) {
-      const auto steps =
-          static_cast<int>((now - backoff.last) / config_.backoff_decay);
-      backoff.streak = std::max(0, backoff.streak - steps);
-    }
-    if (backoff.streak > 0) {
-      const double base = static_cast<double>(config_.backoff_base.count());
-      // Clamped below at base (ISSUE 8): a sub-unity factor or decay step
-      // must never pace a restart *faster* than the configured floor.
-      const double wait_ms = std::max(
-          base, std::min(static_cast<double>(config_.backoff_cap.count()),
-                         base * std::pow(config_.backoff_factor,
-                                         backoff.streak - 1)));
-      const auto allowed = backoff.last + Millis{static_cast<long>(wait_ms)};
-      if (allowed > now) {
-        restart.spawn_at = allowed;
-        ++backoffs_applied_;
-        obs::instant(trace_now(), "recover", "rec.backoff", "posix",
-                     {{"component", restart.reported_worker},
-                      {"cell", tree_.cell(restart.node).label}});
-        obs::incr("rec.backoffs");
-        log_info("supervisor",
-                 "backing off before restarting cell " +
-                     tree_.cell(restart.node).label);
-      }
-    }
-    ++backoff.streak;
-    backoff.last = restart.spawn_at;
-  }
-
-  actions_.emplace(next_action_++, std::move(restart));
-  maybe_spawn_pending();
-}
-
-void PosixSupervisor::absorb_conflicting(core::NodeId node) {
-  for (auto it = actions_.begin(); it != actions_.end();) {
-    PendingRestart& action = it->second;
-    if (action.node != node && tree_.is_ancestor(node, action.node)) {
-      log_info("supervisor", "absorbing in-flight restart of cell " +
-                                 tree_.cell(action.node).label + " into " +
-                                 tree_.cell(node).label);
-      obs::instant(trace_now(), "recover", "rec.absorb", "posix",
-                   {{"component", action.reported_worker},
-                    {"cell", tree_.cell(action.node).label},
-                    {"into", tree_.cell(node).label}});
-      obs::incr("rec.absorbed");
-      obs::end_span(trace_now(), action.trace_span, {{"outcome", "absorbed"}});
-      ++absorbed_restarts_;
-      it = actions_.erase(it);
+void PosixSupervisor::on_rec_command(const msg::Message& message) {
+  if (message.kind != msg::Kind::kCommand) return;
+  const bool mask = message.verb == "mask";
+  if (!mask && message.verb != "unmask") return;
+  for (const auto& name : util::split(message.body.attr_or("components", ""), ',')) {
+    if (mask) {
+      masked_.insert(name);
     } else {
-      ++it;
+      masked_.erase(name);
     }
   }
 }
 
-bool PosixSupervisor::defer_conflicts(const std::string& name) const {
-  const auto cell = tree_.lowest_cell_covering(name);
-  if (!cell.has_value()) return true;  // unknown worker: never dispatch
-  for (const auto& [id, action] : actions_) {
-    if (tree_.conflicts(*cell, action.node)) return true;
+void PosixSupervisor::complete_ready_groups() {
+  // Completions may start new groups (rec drains its queue), so collect
+  // first and call afterwards.
+  std::vector<std::function<void()>> done;
+  std::erase_if(groups_, [&](Group& group) {
+    const bool ready = std::all_of(
+        group.members.begin(), group.members.end(),
+        [this](const auto& name) { return worker_up(name); });
+    if (ready) done.push_back(std::move(group.on_complete));
+    return ready;
+  });
+  for (const auto& on_complete : done) on_complete();
+}
+
+std::vector<std::string> PosixSupervisor::component_names() const {
+  std::vector<std::string> names;
+  for (const auto& [name, worker] : workers_) names.push_back(name);
+  return names;
+}
+
+void PosixSupervisor::restart_group(const std::vector<std::string>& names,
+                                    std::function<void()> on_complete) {
+  log("supervisor", "restarting " + util::join(names, ","));
+  // Respawning a member of an older, still-starting group supersedes that
+  // attempt; the older group completes (and rec ignores it) once its
+  // members are READY again.
+  for (const auto& name : names) spawn_worker(workers_.at(name));
+  groups_.push_back(Group{names, std::move(on_complete)});
+}
+
+std::vector<std::string> PosixSupervisor::restarting_now() const {
+  std::set<std::string> starting;
+  for (const Group& group : groups_) {
+    for (const auto& name : group.members) {
+      if (!worker_up(name)) starting.insert(name);
+    }
   }
-  return false;
+  return {starting.begin(), starting.end()};
+}
+
+bool PosixSupervisor::restart_in_progress() const {
+  return !restarting_now().empty();
+}
+
+void PosixSupervisor::discard_checkpoints(const std::vector<std::string>& names) {
+  for (const auto& name : names) {
+    const Worker& worker = workers_.at(name);
+    if (worker.spec.checkpoint_file.empty()) continue;
+    if (::unlink(worker.spec.checkpoint_file.c_str()) == 0) {
+      log(name, "fault-suspected checkpoint file discarded");
+    }
+  }
+}
+
+Duration PosixSupervisor::restart_deadline(const std::vector<std::string>& names,
+                                           Duration /*configured*/) const {
+  Millis slowest{0};
+  for (const auto& name : names) {
+    slowest = std::max(slowest, workers_.at(name).spec.startup_timeout);
+  }
+  return to_duration(slowest);
 }
 
 PosixSupervisor::TouchResult PosixSupervisor::touch_worker(
     const std::string& name) {
-  if (!config_.traffic_driven) return TouchResult::kIdle;
-  if (std::find(hard_failures_.begin(), hard_failures_.end(), name) !=
-      hard_failures_.end()) {
-    return TouchResult::kParked;
-  }
-  if (masked(name)) return TouchResult::kRestarting;
-  const auto it = std::find_if(
-      deferred_.begin(), deferred_.end(),
-      [&](const DeferredFailure& entry) { return entry.name == name; });
-  if (it == deferred_.end()) return TouchResult::kIdle;
-  DeferredFailure entry = *it;
-  deferred_.erase(it);
-  entry.touched = true;
-  ++touch_promotions_;
-  obs::instant(trace_now(), "recover", "rec.touch", "posix",
-               {{"component", name}});
-  obs::incr("rec.touch_promotions");
-  log_info(name, "client request touched deferred failure; promoting");
-  if (defer_conflicts(name)) {
-    // An in-flight ancestor/descendant still conflicts: promoted to the
-    // front, dispatched by the drain once the conflict clears.
-    deferred_.push_front(entry);
-    return TouchResult::kPromoted;
-  }
-  act_on_failure(entry.name);
-  return TouchResult::kPromoted;
-}
-
-void PosixSupervisor::maybe_drain_deferred() {
-  if (deferred_.empty()) return;
-  const auto now = Clock::now();
-  std::deque<DeferredFailure> keep;
-  bool lazy_fired = false;
-  while (!deferred_.empty()) {
-    DeferredFailure entry = deferred_.front();
-    deferred_.pop_front();
-    if (std::find(hard_failures_.begin(), hard_failures_.end(), entry.name) !=
-        hard_failures_.end()) {
-      continue;  // parked meanwhile
-    }
-    if (masked(entry.name)) continue;  // an in-flight action covers it now
-    if (entry.touched) {
-      if (defer_conflicts(entry.name)) {
-        keep.push_back(entry);
-        continue;
-      }
-      act_on_failure(entry.name);
-      continue;
-    }
-    // Untouched: background pace, one dispatch per lazy_drain interval.
-    if (lazy_fired || now < next_lazy_ || defer_conflicts(entry.name)) {
-      keep.push_back(entry);
-      continue;
-    }
-    lazy_fired = true;
-    next_lazy_ = now + config_.lazy_drain;
-    ++lazy_drains_;
-    obs::incr("rec.lazy_drains");
-    act_on_failure(entry.name);
-  }
-  deferred_ = std::move(keep);
-}
-
-void PosixSupervisor::maybe_spawn_pending() {
-  const auto now = Clock::now();
-  for (auto& [id, action] : actions_) {
-    if (action.spawned || now < action.spawn_at) continue;
-    for (const auto& member : action.group) {
-      auto& worker = workers_.at(member);
-      spawn_worker(worker);  // kills the old incarnation, starts fresh
-    }
-    action.spawned = true;
-  }
-}
-
-void PosixSupervisor::maybe_finish_restarts() {
-  // One action resolves per scan; resolving can mutate actions_ (an
-  // escalated retry may absorb siblings), so rescan from the top after each.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = actions_.begin(); it != actions_.end(); ++it) {
-      PendingRestart& action = it->second;
-      if (!action.spawned) continue;
-      const bool all_ready = std::all_of(
-          action.group.begin(), action.group.end(), [this](const auto& name) {
-            return workers_.at(name).state == WorkerState::kUp;
-          });
-      const bool any_dead = std::any_of(
-          action.group.begin(), action.group.end(), [this](const auto& name) {
-            return workers_.at(name).state == WorkerState::kDown;
-          });
-      if (any_dead) {
-        // A member's startup timed out mid-restart: treat the whole action
-        // as failed and let the escalation path rerun it one level up.
-        const PendingRestart failed = action;
-        obs::end_span(trace_now(), failed.trace_span,
-                      {{"outcome", "member-startup-failed"}});
-        LastRestart last;
-        last.node = failed.node;
-        last.group = failed.group;
-        last.escalation_level = failed.escalation_level;
-        last.complete_at = Clock::now();
-        last_ = last;
-        actions_.erase(it);
-        on_failure(failed.reported_worker);
-        progressed = true;
-        break;
-      }
-      if (!all_ready) continue;
-
-      PosixRecoveryRecord record;
-      record.reported_worker = action.reported_worker;
-      record.node = action.node;
-      record.restarted = action.group;
-      record.escalation_level = action.escalation_level;
-      record.downtime = std::chrono::duration_cast<Millis>(Clock::now() -
-                                                           action.reported_at);
-      history_.push_back(record);
-      obs::end_span(trace_now(), action.trace_span, {{"outcome", "cured"}});
-      obs::incr("rec.restarts");
-      obs::observe("recovery.action_seconds",
-                   std::chrono::duration<double>(record.downtime).count());
-
-      LastRestart last;
-      last.node = action.node;
-      last.group = action.group;
-      last.escalation_level = action.escalation_level;
-      last.complete_at = Clock::now();
-      last_ = last;
-      actions_.erase(it);
-      progressed = true;
-      break;
-    }
-  }
+  advance();
+  const TouchResult result = rec_.touch(name);
+  advance();  // deliver the promoted restart's mask to FD
+  return result;
 }
 
 bool PosixSupervisor::worker_up(const std::string& name) const {
@@ -658,12 +434,13 @@ bool PosixSupervisor::all_up() const {
 bool PosixSupervisor::kill_worker(const std::string& name) {
   const auto it = workers_.find(name);
   if (it == workers_.end()) {
-    log_info("supervisor", "kill_worker: no such worker '" + name + "'");
+    log("supervisor", "kill_worker: no such worker '" + name + "'");
     return false;
   }
+  advance();
   Worker& worker = it->second;
   if (worker.process.has_value()) worker.process->kill_hard();
-  obs::instant(trace_now(), "fault", "fault.manifest", "posix",
+  obs::instant(sim_.now(), "fault", "fault.manifest", "posix",
                {{"manifest", name}, {"kind", "sigkill"}});
   obs::incr("faults.injected");
   // State stays kUp: the supervisor has not *detected* anything yet — that
@@ -674,12 +451,13 @@ bool PosixSupervisor::kill_worker(const std::string& name) {
 bool PosixSupervisor::wedge_worker(const std::string& name) {
   const auto it = workers_.find(name);
   if (it == workers_.end()) {
-    log_info("supervisor", "wedge_worker: no such worker '" + name + "'");
+    log("supervisor", "wedge_worker: no such worker '" + name + "'");
     return false;
   }
+  advance();
   Worker& worker = it->second;
   if (worker.process.has_value()) worker.process->write_line("WEDGE");
-  obs::instant(trace_now(), "fault", "fault.manifest", "posix",
+  obs::instant(sim_.now(), "fault", "fault.manifest", "posix",
                {{"manifest", name}, {"kind", "wedge"}});
   obs::incr("faults.injected");
   return true;

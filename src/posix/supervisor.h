@@ -1,35 +1,46 @@
 // PosixSupervisor: the restart tree driving real OS processes.
 //
 // The simulator proves the paper's numbers; this backend proves the
-// mechanism is not a simulation artifact. It is FD and REC fused into one
-// real-time supervision loop (single-threaded, poll()-based):
+// mechanism is not a simulation artifact. It runs the same REC as the
+// simulator — core::Recoverer, unchanged — on a sim::Simulator that the
+// supervisor's poll() loop advances to wall-clock time, so there is one
+// recovery policy for both backends:
 //
-//   * each worker is a real child process (fork/exec), pinged over its
-//     stdin/stdout pipes with "PING n"/"PONG n" lines;
-//   * a missed pong raises a failure; the restart tree + oracle pick the
-//     cell to restart, exactly as in core::Recoverer — guess-too-low
-//     recommendations escalate to the parent cell when the failure
-//     persists (§3.3);
-//   * restarting a cell SIGKILLs every component in its group and respawns
-//     them, masking them from detection until they report READY;
-//   * a worker that keeps failing after max_root_restarts full restarts is
-//     parked as a hard failure.
+//   * FD is POSIX-specific: each worker is a real child process
+//     (fork/exec), pinged over its stdin/stdout pipes with "PING n"/"PONG n"
+//     lines; a missed pong, or a missed startup deadline of a worker no
+//     restart covers, sends report-failure to rec over a zero-latency
+//     DedicatedLink, and rec's mask/unmask commands silence FD for groups
+//     being restarted;
+//   * REC is core::Recoverer: oracle choice, escalation to the parent cell
+//     when the failure persists (§3.3), concurrent dispatch of disjoint
+//     cells, traffic-driven deferral, and parking after max_root_restarts;
+//   * the supervisor is REC's core::ProcessControl: restarting a group
+//     SIGKILLs and respawns its members through the checkpoint gate and
+//     completes once every member has reported READY. A group's deadline is
+//     its slowest member's WorkerSpec::startup_timeout.
 //
-// Timings here are real milliseconds, so tests keep startup delays small.
+// Timestamps (traces, logs, rec's timers) are seconds since process start on
+// that one clock. Timings here are real milliseconds, so tests keep startup
+// delays small.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bus/dedicated_link.h"
 #include "core/oracle.h"
+#include "core/process_control.h"
+#include "core/recoverer.h"
 #include "core/restart_tree.h"
 #include "posix/child_process.h"
+#include "sim/simulator.h"
 #include "util/result.h"
 
 namespace mercury::posix {
@@ -58,54 +69,30 @@ struct SupervisorConfig {
   /// Re-failure within this window of a restart's completion escalates.
   Millis escalation_window{1500};
   int max_root_restarts = 2;
-  /// Window over which uncured root restarts accumulate per worker.
-  Millis root_retry_window{30'000};
   /// §7 health beacons over the pipes: when a worker's reported memory
   /// ("HEALTH <name> mem=<MB>" lines) exceeds this, it is proactively
   /// restarted. 0 disables the policy.
   double memory_limit_mb = 0.0;
-  /// Minimum spacing between proactive restarts of the same worker.
-  Millis rejuvenation_spacing{2'000};
-
-  // --- Restart-path hardening (ISSUE 2), mirroring core::RecConfig --------
-  /// Exponential backoff between successive restarts of the same cell:
-  /// attempt n of a streak is delayed backoff_base * backoff_factor^(n-1),
-  /// capped at backoff_cap. Zero base disables. While a delayed restart is
-  /// pending, its group stays masked and the spawn waits.
-  Millis backoff_base{0};
-  double backoff_factor = 2.0;
-  Millis backoff_cap{5'000};
-  /// A cell with no restarts for this long forgets its streak.
-  Millis backoff_decay{10'000};
-  /// Restart attempts tolerated per failure chain (reactive actions only)
-  /// before the chain's reported worker is parked as a hard failure. Zero
-  /// disables (only max_root_restarts parks).
-  int max_attempts_per_chain = 0;
 
   // --- Partner checkpoint replicas (ISSUE 7) ------------------------------
-  /// Mirror of the simulator's L1 tier: the supervisor keeps an in-memory
-  /// copy of each worker's last *validated* checkpoint payload. When the
-  /// on-disk state file is missing or fails validation at spawn time, the
-  /// file is rewritten from the copy before the exec, so the worker still
-  /// warm-starts instead of falling off the redundancy cliff. Off by
-  /// default: legacy supervisors keep the single-file behaviour.
+  /// The simulator's L1 tier on real processes: the supervisor keeps an
+  /// in-memory copy of each worker's last *validated* checkpoint payload.
+  /// When the on-disk state file is missing or fails validation at spawn
+  /// time, the file is rewritten from the copy before the exec, so the
+  /// worker still warm-starts instead of falling off the redundancy cliff.
+  /// Off by default: the single-file behaviour.
   bool keep_partner_copies = false;
 
-  // --- Parallel recovery (ISSUE 8) ----------------------------------------
+  // --- Recovery scheduling (core::RecConfig::dispatch) --------------------
   /// Allow multiple restart actions in flight at once, as long as their
-  /// restart groups are disjoint (sibling cells). A report whose chosen cell
-  /// strictly covers an in-flight action ABSORBS it: the stale action's span
-  /// ends (outcome=absorbed) and the covering restart re-kills its members.
-  /// Off by default: the legacy supervisor runs at most one action and lets
-  /// the failure detector re-detect anything it dropped while busy.
+  /// restart groups are disjoint (DispatchMode::kDag). Off: one action at a
+  /// time, later reports queue behind it (DispatchMode::kSerial).
   bool parallel_recovery = false;
-
-  // --- Traffic-driven on-demand recovery (ISSUE 9) ------------------------
-  /// Mirror of core::RecConfig::traffic_driven; requires parallel_recovery.
-  /// While any action is in flight, further failures are deferred instead of
-  /// restarted eagerly: touch_worker(name) — called when a client request
-  /// needs the worker — promotes its deferred restart; untouched workers
-  /// drain in the background, one per lazy_drain.
+  /// core::RecConfig::traffic_driven under DispatchMode::kOnDemand; requires
+  /// parallel_recovery. While any action is in flight, further failures are
+  /// deferred: touch_worker(name) — called when a client request needs the
+  /// worker — promotes its deferred restart; untouched workers drain in the
+  /// background, one per lazy_drain.
   bool traffic_driven = false;
   Millis lazy_drain{300};
 };
@@ -118,12 +105,12 @@ struct PosixRecoveryRecord {
   Millis downtime{0};  ///< failure report -> group READY
 };
 
-class PosixSupervisor {
+class PosixSupervisor : private core::ProcessControl {
  public:
   /// The tree's components must exactly match the worker names.
   PosixSupervisor(core::RestartTree tree, std::vector<WorkerSpec> workers,
                   SupervisorConfig config);
-  ~PosixSupervisor();
+  ~PosixSupervisor() override;
 
   PosixSupervisor(const PosixSupervisor&) = delete;
   PosixSupervisor& operator=(const PosixSupervisor&) = delete;
@@ -149,21 +136,24 @@ class PosixSupervisor {
   bool wedge_worker(const std::string& name);
 
   const std::vector<PosixRecoveryRecord>& history() const { return history_; }
-  const std::vector<std::string>& hard_failures() const { return hard_failures_; }
-  const core::RestartTree& tree() const { return tree_; }
+  const std::vector<std::string>& hard_failures() const {
+    return rec_.hard_failures();
+  }
+  const core::RestartTree& tree() const { return rec_.tree(); }
   std::uint64_t pings_sent() const { return pings_sent_; }
   std::uint64_t pongs_received() const { return pongs_received_; }
-  /// Restart attempts delayed by same-cell backoff (hardened configs).
-  std::uint64_t backoffs_applied() const { return backoffs_applied_; }
-  /// Worker startups abandoned by the startup deadline (hung/slow spawns).
-  std::uint64_t restart_timeouts() const { return restart_timeouts_; }
+  /// Missed startup deadlines: spawns no restart covered (reported by FD)
+  /// plus restart actions rec abandoned at their group deadline.
+  std::uint64_t restart_timeouts() const {
+    return startup_timeouts_ + rec_.restart_timeouts();
+  }
   /// Restart actions currently in flight (>1 only under parallel_recovery).
-  std::size_t restarts_in_flight() const { return actions_.size(); }
+  std::size_t restarts_in_flight() const { return rec_.restarts_in_flight(); }
   /// In-flight actions superseded by a covering (ancestor-cell) restart.
-  std::uint64_t absorbed_restarts() const { return absorbed_restarts_; }
+  std::uint64_t absorbed_restarts() const { return rec_.absorbed_restarts(); }
   /// Latest memory figure a worker's HEALTH beacon reported, if any.
   std::optional<double> latest_memory_mb(const std::string& name) const;
-  std::uint64_t rejuvenations() const { return rejuvenations_; }
+  std::uint64_t rejuvenations() const { return rec_.planned_restarts(); }
   /// Checkpoint files found valid at spawn (the worker will warm-start).
   std::uint64_t checkpoints_validated() const { return checkpoints_validated_; }
   /// Invalid checkpoint files deleted before a spawn (cold start enforced).
@@ -173,20 +163,14 @@ class PosixSupervisor {
   std::uint64_t partner_restores() const { return partner_restores_; }
 
   // --- Traffic-driven on-demand recovery (ISSUE 9) ------------------------
-  /// What touch_worker found for the touched worker.
-  enum class TouchResult {
-    kIdle,        ///< nothing deferred or in flight for this worker
-    kRestarting,  ///< an in-flight action already covers it
-    kPromoted,    ///< a deferred failure was promoted (now or at next drain)
-    kParked,      ///< hard-failed: no restart, callers should reject
-  };
+  using TouchResult = core::TouchResult;
   /// Client-request touch (traffic_driven configs): promote `name`'s
   /// deferred restart. No-op (kIdle) otherwise.
   TouchResult touch_worker(const std::string& name);
-  std::uint64_t touch_promotions() const { return touch_promotions_; }
-  std::uint64_t lazy_drains() const { return lazy_drains_; }
-  /// Failures currently deferred by traffic-driven lazy recovery.
-  std::size_t deferred_count() const { return deferred_.size(); }
+  std::uint64_t touch_promotions() const { return rec_.touch_promotions(); }
+  std::uint64_t lazy_drains() const { return rec_.lazy_drains(); }
+  /// Failure reports rec currently holds back (deferred or queued).
+  std::size_t deferred_count() const { return rec_.queued_reports(); }
 
  private:
   enum class WorkerState { kDown, kStarting, kUp };
@@ -195,113 +179,69 @@ class PosixSupervisor {
     WorkerSpec spec;
     std::optional<ChildProcess> process;
     WorkerState state = WorkerState::kDown;
-    Clock::time_point next_ping;
+    util::TimePoint next_ping;
     std::uint64_t outstanding_seq = 0;
-    Clock::time_point ping_deadline;
-    Clock::time_point ready_deadline;
+    util::TimePoint ping_deadline;
+    util::TimePoint ready_deadline;
     std::optional<double> memory_mb;  // latest HEALTH beacon figure
-    Clock::time_point last_rejuvenation{};
+    util::TimePoint last_rejuvenation =
+        util::TimePoint::origin() - util::Duration::hours(1.0);
     std::uint64_t restart_span = 0;  // open obs span: spawn -> READY
     /// Partner replica (ISSUE 7): the last checkpoint payload that passed
     /// the spawn-time gate, held supervisor-side on the worker's behalf.
     std::optional<std::string> replica_payload;
   };
 
-  struct PendingRestart {
-    std::string reported_worker;
-    core::NodeId node;
-    std::vector<std::string> group;
-    int escalation_level = 0;
-    bool rejuvenation = false;  // proactive; exempt from the attempt budget
-    Clock::time_point reported_at;
-    /// Backoff pacing: the group is spawned only once this time arrives;
-    /// until then the action is in flight (group masked) but not started.
-    Clock::time_point spawn_at{};
-    bool spawned = false;
-    std::uint64_t trace_span = 0;  // open obs span for the whole action
-  };
-  struct LastRestart {
-    core::NodeId node;
-    std::vector<std::string> group;
-    int escalation_level = 0;
-    Clock::time_point complete_at;
-  };
-  /// Uncured root restarts per reported worker (see core::Recoverer: an
-  /// unrelated failure right after a full restart must not park an innocent
-  /// worker).
-  struct RootHistory {
-    int count = 0;
-    Clock::time_point last{};
-  };
-  /// Same-cell restart pacing (mirrors core::Recoverer::CellBackoff).
-  struct CellBackoff {
-    int streak = 0;
-    Clock::time_point last{};
+  /// One restart group handed over by rec, waiting for its members' READY.
+  struct Group {
+    std::vector<std::string> members;
+    std::function<void()> on_complete;
   };
 
-  /// A failure deferred by traffic-driven lazy recovery, waiting for a
-  /// client touch or the background drain.
-  struct DeferredFailure {
-    std::string name;
-    bool touched = false;
-  };
+  // --- core::ProcessControl -----------------------------------------------
+  std::vector<std::string> component_names() const override;
+  void restart_group(const std::vector<std::string>& names,
+                     std::function<void()> on_complete) override;
+  bool restart_in_progress() const override;
+  std::vector<std::string> restarting_now() const override;
+  /// Deletes the on-disk state files only; partner copies survive.
+  void discard_checkpoints(const std::vector<std::string>& names) override;
+  /// The group's slowest member's startup_timeout.
+  util::Duration restart_deadline(const std::vector<std::string>& names,
+                                  util::Duration configured) const override;
 
+  /// Run rec's timers and link messages up to wall-clock now, then copy
+  /// rec's newly completed actions into history_.
+  void advance();
   void pump(Millis max_wait);
   void drain_worker(Worker& worker);
   void send_pings();
   void check_deadlines();
   void check_health_policy();
-  void on_failure(const std::string& name);
-  /// The decision tail of on_failure (escalation, budget, oracle choose,
-  /// begin_restart); promotion paths call it directly so a promoted failure
-  /// cannot be re-deferred.
-  void act_on_failure(const std::string& name);
-  /// Dispatch deferred failures: touched ones as soon as no in-flight
-  /// conflict remains, untouched ones one per lazy_drain interval.
-  void maybe_drain_deferred();
-  /// Restarting `name`'s cell would overlap an in-flight action's cell.
-  bool defer_conflicts(const std::string& name) const;
-  void begin_restart(PendingRestart restart);
-  /// Whether `name` belongs to any in-flight action's group.
-  bool masked(const std::string& name) const;
-  /// End (outcome=absorbed) every in-flight action whose cell is a strict
-  /// descendant of `node` — the covering restart takes over its members.
-  void absorb_conflicting(core::NodeId node);
-  /// Spawn any in-flight action's group once its backoff delay has elapsed.
-  void maybe_spawn_pending();
-  void maybe_finish_restarts();
+  /// Fire on_complete for every group whose members are all READY.
+  void complete_ready_groups();
+  void report_failure(const std::string& name, const std::string& cause);
+  void on_rec_command(const msg::Message& message);
   void spawn_worker(Worker& worker);
-  void park(const std::string& name, const std::string& reason);
+  void log(const std::string& who, const std::string& what) const;
 
-  core::RestartTree tree_;
-  core::HeuristicOracle oracle_;
   SupervisorConfig config_;
   std::map<std::string, Worker> workers_;
-  /// In-flight restart actions by id. At most one entry unless
-  /// parallel_recovery; groups of coexisting actions are always disjoint.
-  std::map<std::uint64_t, PendingRestart> actions_;
-  std::uint64_t next_action_ = 1;
-  std::optional<LastRestart> last_;
-  std::map<std::string, RootHistory> root_history_;
-  std::map<core::NodeId, CellBackoff> backoff_;
+  sim::Simulator sim_{0};
+  bus::DedicatedLink link_;
+  core::HeuristicOracle oracle_;
+  core::Recoverer rec_;
+  /// Workers rec has masked from detection (restarting or parked).
+  std::set<std::string> masked_;
+  std::vector<Group> groups_;
   std::vector<PosixRecoveryRecord> history_;
-  std::vector<std::string> hard_failures_;
-  /// Reactive restart attempts in the chain currently being worked.
-  int chain_attempts_ = 0;
   std::uint64_t seq_ = 1;
   std::uint64_t pings_sent_ = 0;
   std::uint64_t pongs_received_ = 0;
-  std::uint64_t rejuvenations_ = 0;
-  std::uint64_t backoffs_applied_ = 0;
-  std::uint64_t restart_timeouts_ = 0;
-  std::uint64_t absorbed_restarts_ = 0;
+  std::uint64_t startup_timeouts_ = 0;
   std::uint64_t checkpoints_validated_ = 0;
   std::uint64_t checkpoints_deleted_ = 0;
   std::uint64_t partner_restores_ = 0;
-  std::deque<DeferredFailure> deferred_;
-  Clock::time_point next_lazy_{};
-  std::uint64_t touch_promotions_ = 0;
-  std::uint64_t lazy_drains_ = 0;
 };
 
 }  // namespace mercury::posix

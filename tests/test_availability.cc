@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/availability.h"
 #include "core/mercury_trees.h"
@@ -48,6 +49,13 @@ struct Case {
   bool joint;
   double p_low;
   double paper_value;
+
+  // Names the ctest case; printing the raw bytes instead would bake a
+  // string-literal address and struct padding into it, new on every build.
+  friend std::ostream& operator<<(std::ostream& os, const Case& c) {
+    return os << "tree" << to_string(c.tree) << "_"
+              << (c.p_low > 0.0 ? "faulty" : "perfect") << "_" << c.component;
+  }
 };
 
 class AnalyticVsPaper : public ::testing::TestWithParam<Case> {};

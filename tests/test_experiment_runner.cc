@@ -197,10 +197,11 @@ std::string read_file(const std::string& path) {
 TEST(ExperimentRunner, GoldenBatchByteIdenticalToCommittedFixture) {
   // Determinism lock-down (ISSUE 10): the sample batch's merged trace and
   // result line must reproduce the committed fixtures byte for byte, at any
-  // job count. The fixtures were captured from the pre-optimization seed
-  // build, so this pins the full observable contract — event timestamps,
-  // (at, seq) pop order, routing, span/run rebasing in the merge — across
-  // every hot-path rewrite, present and future. If a change legitimately
+  // job count. The trace fixture was captured with a serial run of the build
+  // just before the POSIX backend moved onto core::Recoverer (the results
+  // fixture matches it), so this pins the full observable contract — event
+  // timestamps, (at, seq) pop order, routing, span/run rebasing in the
+  // merge — across every later rewrite. If a change legitimately
   // alters the trace (new events, schema change), regenerate the fixtures
   // with a serial run and say so in the PR.
   const std::string data_dir = MERCURY_TEST_DATA_DIR;

@@ -9,14 +9,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/restart_tree.h"
+#include "obs/phases.h"
+#include "obs/trace.h"
+#include "obs/trace_check.h"
 #include "posix/checkpoint_file.h"
 #include "posix/child_process.h"
 #include "posix/supervisor.h"
+#include "station/experiment.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 #ifndef MERCURY_WORKER_BIN
 #error "MERCURY_WORKER_BIN must point at the mercury_worker binary"
@@ -252,7 +258,8 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
       pair_and_leaf_tree(),
       {quick_worker("a", 30), quick_worker("b", 30), hang}, quick_config());
   // start_all itself rides the hardened path: the hung spawn times out at
-  // 300 ms, escalates through the oracle, and the second spawn succeeds.
+  // 300 ms, FD reports it to rec like any failure, and the respawn of c's
+  // cell succeeds.
   ASSERT_TRUE(supervisor.start_all().ok());
   EXPECT_TRUE(supervisor.all_up());
   EXPECT_GE(supervisor.restart_timeouts(), 1u);
@@ -541,10 +548,10 @@ TEST(CheckpointFile, V1FilesNeverValidateUnderV2) {
 }
 
 TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
-  // ISSUE 7's L1 mirror on real processes: the supervisor keeps a replica
-  // of the last validated payload; when the on-disk file vanishes, the
-  // spawn gate rewrites it from the replica and the worker still
-  // warm-starts.
+  // The simulator's L1 checkpoint tier on real processes: the supervisor
+  // keeps a replica of the last validated payload; when the on-disk file
+  // vanishes, the spawn gate rewrites it from the replica and the worker
+  // still warm-starts.
   const std::string file =
       "/tmp/mercury_ckpt_partner_" + std::to_string(getpid());
   std::remove(file.c_str());
@@ -579,8 +586,16 @@ TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
 
   // Lose the on-disk tier entirely, then fail the worker again: the replica
   // must restore the file and keep the restart warm. Wait for the warm
-  // incarnation's own rewrite first, so the remove cannot be undone by it.
-  ASSERT_TRUE(supervisor.run_until(file_valid, Millis{2000}));
+  // incarnation's own rewrite first, so the remove cannot be undone by it:
+  // only a warm start writes "reloaded-state" (the cold one before it wrote
+  // "rebuilt-state"), so a valid file alone does not prove the rewrite.
+  const auto warm_rewrite_done = [&] {
+    ckpt::CheckpointFile checkpoint;
+    return ckpt::read_checkpoint_file(file, "c", &checkpoint) ==
+               ckpt::FileState::kValid &&
+           checkpoint.payload == "reloaded-state";
+  };
+  ASSERT_TRUE(supervisor.run_until(warm_rewrite_done, Millis{2000}));
   std::remove(file.c_str());
   supervisor.kill_worker("c");
   ASSERT_TRUE(supervisor.run_until(
@@ -657,8 +672,8 @@ TEST(PosixSupervisor, ParallelRecoveryRunsDisjointCellsConcurrently) {
 
 TEST(PosixSupervisor, SerialDefaultNeverOverlapsRestartActions) {
   // parallel_recovery stays off: the same double failure recovers one action
-  // at a time — the legacy busy-gate drops c's report while {a,b} runs and
-  // the next ping round re-detects it afterwards.
+  // at a time — rec's serial dispatch queues c's report while {a,b} runs and
+  // dispatches it when that action completes.
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 400), quick_worker("b", 400), quick_worker("c", 400)},
@@ -853,6 +868,114 @@ TEST(PosixSupervisor, BackToBackFailures) {
   }
   EXPECT_EQ(supervisor.history().size(), 3u);
   EXPECT_TRUE(supervisor.hard_failures().empty());
+}
+
+// --- One trace schema and checker for both backends ---------------------------
+
+/// "track|key,key,..." of every rec.restart span begin, in emission order.
+std::vector<std::string> restart_span_signatures(const obs::EventBuffer& events) {
+  std::vector<std::string> signatures;
+  for (const obs::TraceEvent& event : events) {
+    if (event.kind != obs::EventKind::kBegin || event.name != "rec.restart") continue;
+    std::vector<std::string> keys;
+    for (const obs::TraceArg& arg : event.args) keys.push_back(arg.key);
+    signatures.push_back(event.track + "|" + util::join(keys, ","));
+  }
+  return signatures;
+}
+
+TEST(PosixSupervisor, TracePassesTheSharedCheckerWithTheSimSchema) {
+  obs::TraceRecorder recorder;
+  std::vector<PosixRecoveryRecord> actions;
+  {
+    obs::ScopedRecorder scope(recorder);
+    {
+      // Run 0: a SIGKILL recovered by a leaf restart.
+      PosixSupervisor supervisor(
+          pair_and_leaf_tree(),
+          {quick_worker("a", 30), quick_worker("b", 30), quick_worker("c", 30)},
+          quick_config());
+      ASSERT_TRUE(supervisor.start_all().ok());
+      supervisor.kill_worker("c");
+      ASSERT_TRUE(supervisor.run_until(
+          [&] { return supervisor.all_up() && !supervisor.history().empty(); },
+          Millis{3000}));
+      actions = supervisor.history();
+    }
+    recorder.next_run();
+    {
+      // Run 1: a self-wedging worker escalates to the root and is parked.
+      SupervisorConfig config = quick_config();
+      config.max_root_restarts = 1;
+      PosixSupervisor supervisor(
+          two_leaf_tree(),
+          {quick_worker("a", 30), quick_worker("c", 30, /*wedge_after=*/1)},
+          config);
+      ASSERT_TRUE(supervisor.start_all().ok());
+      ASSERT_TRUE(supervisor.run_until(
+          [&] { return !supervisor.hard_failures().empty(); }, Millis{8000}));
+      actions.insert(actions.end(), supervisor.history().begin(),
+                     supervisor.history().end());
+    }
+  }
+
+  const auto issues = obs::check_trace(recorder.events());
+  EXPECT_TRUE(issues.empty()) << obs::describe(issues);
+
+  // FD, rec and the spawns share one clock: every report rec receives was
+  // emitted by FD first, at a time no later than its receipt.
+  std::map<std::pair<std::uint64_t, std::string>, double> reported_at;
+  std::size_t received = 0;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    const auto key = std::make_pair(event.run, event.arg_or("component"));
+    if (event.name == "fd.report") reported_at[key] = event.t;
+    if (event.name != "rec.report-received") continue;
+    ++received;
+    const auto report = reported_at.find(key);
+    ASSERT_NE(report, reported_at.end()) << key.second;
+    EXPECT_LE(report->second, event.t) << key.second;
+  }
+  EXPECT_GE(received, 3u);
+
+  // One phase row per recovery action; the phases are non-negative and add
+  // up to the action's recovery time (report -> group READY, whole ms).
+  const auto rows = obs::recovery_phases(recorder.events());
+  ASSERT_EQ(rows.size(), actions.size());
+  ASSERT_GE(rows.size(), 3u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const obs::RecoveryPhases& row = rows[i];
+    EXPECT_EQ(row.component, actions[i].reported_worker) << "row " << i;
+    EXPECT_EQ(row.escalation_level, actions[i].escalation_level) << "row " << i;
+    EXPECT_GE(row.detection(), 0.0) << "row " << i;
+    EXPECT_GE(row.decision(), 0.0) << "row " << i;
+    EXPECT_GE(row.execution(), 0.0) << "row " << i;
+    EXPECT_NEAR(row.detection() + row.decision() + row.execution(),
+                row.end_to_end(), 1e-9)
+        << "row " << i;
+    EXPECT_NEAR((row.decision() + row.execution()) * 1e3,
+                static_cast<double>(actions[i].downtime.count()), 1.0)
+        << "row " << i;
+  }
+  EXPECT_TRUE(rows[0].has_fault);  // the SIGKILL anchors detection
+  EXPECT_EQ(rows[0].cell, "R_c");
+
+  // rec.restart spans come from process rec with the simulator's args.
+  obs::TraceRecorder sim_recorder;
+  {
+    obs::ScopedRecorder scope(sim_recorder);
+    station::TrialSpec spec;
+    spec.fail_component = "ses";
+    spec.seed = 21;
+    station::run_trial(spec);
+  }
+  const auto sim_signatures = restart_span_signatures(sim_recorder.events());
+  ASSERT_FALSE(sim_signatures.empty());
+  EXPECT_EQ(sim_signatures.front(), "rec|component,cell,group,escalation,planned");
+  const auto posix_signatures = restart_span_signatures(recorder.events());
+  EXPECT_EQ(posix_signatures.size(), rows.size());
+  for (const auto& signature : posix_signatures) {
+    EXPECT_EQ(signature, sim_signatures.front());
+  }
 }
 
 }  // namespace
