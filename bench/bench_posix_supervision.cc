@@ -41,10 +41,16 @@ int main() {
   const auto proxy_cell = tree.add_cell(tree.root(), "R_proxy");
   tree.attach_component(proxy_cell, "proxy");
 
+  const auto worker_spec = [&](const std::string& name, const char* startup_ms) {
+    posix::WorkerSpec spec;
+    spec.name = name;
+    spec.argv = {worker, "--name", name, "--startup-ms", startup_ms};
+    return spec;
+  };
   std::vector<posix::WorkerSpec> workers = {
-      {"est", {worker, "--name", "est", "--startup-ms", "40"}},
-      {"trk", {worker, "--name", "trk", "--startup-ms", "60"}},
-      {"proxy", {worker, "--name", "proxy", "--startup-ms", "120"}},
+      worker_spec("est", "40"),
+      worker_spec("trk", "60"),
+      worker_spec("proxy", "120"),
   };
 
   posix::SupervisorConfig config;

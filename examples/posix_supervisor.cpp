@@ -35,10 +35,16 @@ int main() {
 
   std::printf("Restart tree over real processes:\n%s\n", tree.render().c_str());
 
+  const auto worker_spec = [&](const std::string& name, const char* startup_ms) {
+    posix::WorkerSpec spec;
+    spec.name = name;
+    spec.argv = {worker, "--name", name, "--startup-ms", startup_ms};
+    return spec;
+  };
   std::vector<posix::WorkerSpec> workers = {
-      {"estimator", {worker, "--name", "estimator", "--startup-ms", "120"}},
-      {"tracker", {worker, "--name", "tracker", "--startup-ms", "150"}},
-      {"proxy", {worker, "--name", "proxy", "--startup-ms", "600"}},
+      worker_spec("estimator", "120"),
+      worker_spec("tracker", "150"),
+      worker_spec("proxy", "600"),
   };
 
   posix::PosixSupervisor supervisor(tree, workers, posix::SupervisorConfig{});

@@ -60,6 +60,9 @@ std::vector<std::string> MessageBus::endpoint_names() const {
   return names;
 }
 
+/// Message size limit; oversized messages are dropped and counted.
+constexpr std::size_t kMaxWireBytes = 64 * 1024;
+
 void MessageBus::send(const msg::Message& message) {
   ++stats_.sent;
   if (!online_) {
@@ -67,7 +70,7 @@ void MessageBus::send(const msg::Message& message) {
     return;
   }
   const std::string wire = msg::encode(message);
-  if (wire.size() > config_.max_wire_bytes) {
+  if (wire.size() > kMaxWireBytes) {
     ++stats_.dropped_oversize;
     LogLine(LogLevel::kWarn, sim_.now(), "mbus")
         << "dropping oversize message from " << message.from << " ("

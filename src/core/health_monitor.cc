@@ -16,10 +16,13 @@ HealthMonitor::HealthMonitor(sim::Simulator& sim, bus::MessageBus& bus,
 
 HealthMonitor::~HealthMonitor() = default;
 
+/// How often deferred requests are re-checked against the maintenance window.
+constexpr util::Duration kRetryPeriod = util::Duration::seconds(10.0);
+
 void HealthMonitor::start() {
   reattach();
   retry_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, "hm.retry", policy_.retry_period, [this] { drain_pending(); });
+      sim_, "hm.retry", kRetryPeriod, [this] { drain_pending(); });
   retry_task_->start();
 }
 
@@ -64,6 +67,9 @@ void HealthMonitor::on_message(const msg::Message& message) {
   evaluate(state.latest->component, state);
 }
 
+/// Queue depth above this requests rejuvenation.
+constexpr double kQueueLimit = 1000.0;
+
 void HealthMonitor::evaluate(const std::string& component, ComponentState& state) {
   const HealthBeacon& beacon = *state.latest;
 
@@ -85,11 +91,11 @@ void HealthMonitor::evaluate(const std::string& component, ComponentState& state
   if (beacon.memory_mb > policy_.memory_limit_mb) {
     degraded = true;
     reason = "memory " + util::format_fixed(beacon.memory_mb, 1) + " MB";
-  } else if (beacon.queue_depth > policy_.queue_limit) {
+  } else if (beacon.queue_depth > kQueueLimit) {
     degraded = true;
     reason = "queue depth " + util::format_fixed(beacon.queue_depth, 0);
-  } else if (policy_.act_on_failed_self_check &&
-             (!beacon.connectivity_ok || !beacon.consistency_ok)) {
+  } else if (!beacon.connectivity_ok || !beacon.consistency_ok) {
+    // A failed connectivity/consistency self-check acts immediately.
     degraded = true;
     reason = !beacon.connectivity_ok ? "connectivity check failed"
                                      : "consistency check failed";

@@ -4,12 +4,14 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/mercury_trees.h"
 #include "obs/trace.h"
 #include "util/log.h"
 #include "util/strings.h"
 
 namespace mercury::core {
 
+namespace names = component_names;
 using util::Duration;
 using util::LogLevel;
 using util::LogLine;
@@ -38,7 +40,7 @@ Recoverer::Recoverer(sim::Simulator& sim, bus::DedicatedLink& link,
 Recoverer::~Recoverer() = default;
 
 void Recoverer::start() {
-  link_.bind(config_.rec_name,
+  link_.bind(names::kRec,
              [this](const msg::Message& message) { on_link_message(message); });
 }
 
@@ -64,11 +66,11 @@ void Recoverer::restart_complete() {
 
 void Recoverer::on_link_message(const msg::Message& message) {
   if (message.kind == msg::Kind::kPing) {
-    if (alive_) link_.send(msg::make_pong(message, config_.rec_name));
+    if (alive_) link_.send(msg::make_pong(message, names::kRec));
     return;
   }
   if (message.kind == msg::Kind::kPong) {
-    if (alive_ && message.from == config_.fd_name &&
+    if (alive_ && message.from == names::kFd &&
         message.seq == fd_outstanding_seq_) {
       fd_outstanding_seq_ = 0;
       if (fd_timeout_.valid()) {
@@ -838,8 +840,8 @@ void Recoverer::send_mask(const std::vector<std::string>& components, bool mask)
   }
   obs::instant(sim_.now(), "recover", mask ? "rec.mask" : "rec.unmask", "rec",
                {{"components", util::join(effective, ",")}});
-  msg::Message command = msg::make_command(config_.rec_name, config_.fd_name,
-                                           seq_++, mask ? "mask" : "unmask");
+  msg::Message command = msg::make_command(names::kRec, names::kFd, seq_++,
+                                           mask ? "mask" : "unmask");
   command.body.set_attr("components", util::join(effective, ","));
   link_.send(command);
 }
@@ -848,9 +850,14 @@ void Recoverer::set_fd_restarter(std::function<void()> restarter) {
   fd_restarter_ = std::move(restarter);
 }
 
+// REC's liveness watch over FD (§2.2 mutual recovery): one ping a second
+// over the dedicated link, answered well inside the period.
+constexpr Duration kFdPingPeriod = Duration::seconds(1.0);
+constexpr Duration kFdPingTimeout = Duration::millis(300.0);
+
 void Recoverer::monitor_fd() {
   fd_loop_ = std::make_unique<sim::PeriodicTask>(
-      sim_, "rec.ping-fd", config_.fd_ping_period, [this] { ping_fd(); });
+      sim_, "rec.ping-fd", kFdPingPeriod, [this] { ping_fd(); });
   fd_loop_->start();
 }
 
@@ -860,8 +867,8 @@ void Recoverer::ping_fd() {
   if (fd_outstanding_seq_ != 0) return;
   const std::uint64_t seq = seq_++;
   fd_outstanding_seq_ = seq;
-  link_.send(msg::make_ping(config_.rec_name, config_.fd_name, seq));
-  fd_timeout_ = sim_.schedule_after(config_.fd_ping_timeout, "rec.fd-timeout",
+  link_.send(msg::make_ping(names::kRec, names::kFd, seq));
+  fd_timeout_ = sim_.schedule_after(kFdPingTimeout, "rec.fd-timeout",
                                     [this, seq] {
                                       if (fd_outstanding_seq_ == seq) {
                                         fd_outstanding_seq_ = 0;
@@ -878,7 +885,7 @@ void Recoverer::on_fd_timeout() {
       << "fd unresponsive; initiating fd recovery";
   fd_restart_in_flight_ = true;
   fd_restarter_();
-  sim_.schedule_after(config_.fd_ping_period * 5.0, "rec.fd-grace",
+  sim_.schedule_after(kFdPingPeriod * 5.0, "rec.fd-grace",
                       [this] { fd_restart_in_flight_ = false; });
 }
 

@@ -105,10 +105,6 @@ struct RecConfig {
   /// component whose failures outlive this many root restarts inside the
   /// window is parked.
   util::Duration root_retry_window = util::Duration::seconds(90.0);
-  util::Duration fd_ping_period = util::Duration::seconds(1.0);
-  util::Duration fd_ping_timeout = util::Duration::millis(300.0);
-  std::string fd_name = "fd";
-  std::string rec_name = "rec";
 
   /// Restart-DAG scheduling of non-interfering cells. kSerial reproduces
   /// the paper's one-chain-at-a-time recoverer exactly; the DAG modes

@@ -1,5 +1,7 @@
 #include "msg/message.h"
 
+#include <charconv>
+
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -45,11 +47,11 @@ std::string encode(const Message& message) {
   out += '"';
   if (message.in_reply_to) {
     out += " reply-to=\"";
-    out += std::to_string(static_cast<long long>(*message.in_reply_to));
+    out += std::to_string(*message.in_reply_to);
     out += '"';
   }
   out += " seq=\"";
-  out += std::to_string(static_cast<long long>(message.seq));
+  out += std::to_string(message.seq);
   out += "\" to=\"";
   xml::escape_attr_to(out, message.to);
   out += "\" type=\"";
@@ -65,6 +67,19 @@ std::string encode(const Message& message) {
   out += "</msg>";
   return out;
 }
+
+namespace {
+
+/// A sequence-number attribute: the full unsigned 64-bit range, decimal
+/// digits only (no sign, no whitespace), rejected on overflow.
+std::optional<std::uint64_t> parse_seq(const std::string& v) {
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), parsed);
+  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
+  return parsed;
+}
+
+}  // namespace
 
 Result<Message> decode(std::string_view wire) {
   auto doc = xml::parse(wire);
@@ -95,15 +110,19 @@ Result<Message> decode(std::string_view wire) {
   message.from = from->second;
   message.to = to->second;
 
-  const auto seq = root.attr_int("seq");
-  if (!seq || *seq < 0) return Error("<msg> missing or invalid 'seq' attribute");
-  message.seq = static_cast<std::uint64_t>(*seq);
+  const auto seq = attrs.find("seq");
+  const auto seq_value =
+      seq != attrs.end() ? parse_seq(seq->second) : std::nullopt;
+  if (!seq_value) return Error("<msg> missing or invalid 'seq' attribute");
+  message.seq = *seq_value;
 
   const auto verb = attrs.find("verb");
   if (verb != attrs.end()) message.verb = verb->second;
-  if (const auto reply = root.attr_int("reply-to")) {
-    if (*reply < 0) return Error("<msg> invalid 'reply-to' attribute");
-    message.in_reply_to = static_cast<std::uint64_t>(*reply);
+  const auto reply = attrs.find("reply-to");
+  if (reply != attrs.end()) {
+    const auto reply_value = parse_seq(reply->second);
+    if (!reply_value) return Error("<msg> invalid 'reply-to' attribute");
+    message.in_reply_to = *reply_value;
   }
 
   if (xml::Element* body = root.child("body")) {

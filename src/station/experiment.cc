@@ -75,7 +75,7 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
         core::choose_partners(core::make_mercury_tree(spec.tree)));
   }
 
-  link_ = std::make_unique<bus::DedicatedLink>(sim_, "fd", "rec",
+  link_ = std::make_unique<bus::DedicatedLink>(sim_, names::kFd, names::kRec,
                                                spec.cal.link_latency);
 
   // Oracle stack.
@@ -94,8 +94,7 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
       case OracleKind::kFaultyPerfect:
         perfect_oracle_ = std::make_unique<core::PerfectOracle>(station_->board());
         owned_oracle_ = std::make_unique<core::FaultyOracle>(
-            *perfect_oracle_, sim_.rng().fork("faulty-oracle"), spec.faulty_p_low,
-            spec.faulty_p_high);
+            *perfect_oracle_, sim_.rng().fork("faulty-oracle"), spec.faulty_p_low);
         active_oracle_ = owned_oracle_.get();
         break;
       case OracleKind::kLearning: {
@@ -114,7 +113,6 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
   core::FdConfig fd_config;
   fd_config.ping_period = spec.cal.ping_period;
   fd_config.ping_timeout = spec.cal.ping_timeout;
-  fd_config.mbus_verify_timeout = spec.cal.ping_timeout;
   fd_config.misses_before_report = spec.fd_misses_before_report;
   fd_ = std::make_unique<core::FailureDetector>(
       sim_, station_->bus(), *link_, station_->component_names(), fd_config);
@@ -214,7 +212,7 @@ TrialResult run_trial(const TrialSpec& spec) {
   // dip is measured against a real pre-injection serving rate.
   if (rig.workload() != nullptr) rig.workload()->start();
 
-  sim.run_for(spec.warmup);
+  sim.run_for(kTrialWarmup);
 
   // Inject at a uniformly random phase of the ping schedule, as a physical
   // SIGKILL at an arbitrary wall-clock instant would land.
@@ -237,36 +235,30 @@ TrialResult run_trial(const TrialSpec& spec) {
       break;
   }
 
-  // Checkpoint damage rides along with the failure (ISSUE 3, per-tier by
-  // ISSUE 7): whatever killed the component may have trashed its snapshot
-  // too — in any combination of tiers.
+  // Checkpoint damage rides along with the failure: whatever killed the
+  // component may have trashed its local snapshot too.
   const std::string& victim = spec.mode == FailureMode::kJointFedrPbcom
                                   ? names::kPbcom
                                   : spec.fail_component;
-  const auto apply_damage = [&](TrialSpec::CheckpointDamage damage,
-                                core::CheckpointTier tier) {
-    switch (damage) {
-      case TrialSpec::CheckpointDamage::kNone:
-        break;
-      case TrialSpec::CheckpointDamage::kCorrupt:
-        rig.station().checkpoints().corrupt(victim, tier);
-        break;
-      case TrialSpec::CheckpointDamage::kPoison:
-        rig.station().checkpoints().poison(victim, tier);
-        break;
-      case TrialSpec::CheckpointDamage::kStale:
-        rig.station().checkpoints().stale_date(
-            victim, tier,
-            injected_at - spec.checkpoint_ttl - Duration::seconds(1.0));
-        break;
-      case TrialSpec::CheckpointDamage::kKill:
-        rig.station().checkpoints().discard_tier(victim, tier);
-        break;
-    }
-  };
-  apply_damage(spec.checkpoint_damage, core::CheckpointTier::kL0Local);
-  apply_damage(spec.checkpoint_l1_damage, core::CheckpointTier::kL1Partner);
-  apply_damage(spec.checkpoint_l2_damage, core::CheckpointTier::kL2Stable);
+  constexpr core::CheckpointTier kLocal = core::CheckpointTier::kL0Local;
+  switch (spec.checkpoint_damage) {
+    case TrialSpec::CheckpointDamage::kNone:
+      break;
+    case TrialSpec::CheckpointDamage::kCorrupt:
+      rig.station().checkpoints().corrupt(victim, kLocal);
+      break;
+    case TrialSpec::CheckpointDamage::kPoison:
+      rig.station().checkpoints().poison(victim, kLocal);
+      break;
+    case TrialSpec::CheckpointDamage::kStale:
+      rig.station().checkpoints().stale_date(
+          victim, kLocal,
+          injected_at - spec.checkpoint_ttl - Duration::seconds(1.0));
+      break;
+    case TrialSpec::CheckpointDamage::kKill:
+      rig.station().checkpoints().discard_tier(victim, kLocal);
+      break;
+  }
 
   // Correlated partner loss: the same fault event fells the victim's L1
   // replica host; the station's host-down listener drops its replicas.

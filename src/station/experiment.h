@@ -50,16 +50,19 @@ enum class FailureMode {
   kStaleAttachment,    ///< soft-curable transient at `fail_component` (§7)
 };
 
+/// Healthy run time before a trial's failure is injected: FD's ping loops
+/// and the client workload reach steady state first.
+inline constexpr util::Duration kTrialWarmup = util::Duration::seconds(3.0);
+
 struct TrialSpec {
   core::MercuryTree tree = core::MercuryTree::kTreeIV;
   OracleKind oracle = OracleKind::kPerfect;
+  /// kFaultyPerfect's guess-too-low probability (it never guesses too high).
   double faulty_p_low = 0.3;
-  double faulty_p_high = 0.0;
   std::string fail_component;
   FailureMode mode = FailureMode::kCrash;
   std::uint64_t seed = 1;
   Calibration cal = default_calibration();
-  util::Duration warmup = util::Duration::seconds(3.0);
   util::Duration timeout = util::Duration::seconds(180.0);
   /// Domain chatter (ephemerides/tuning) is off in timing trials: it does
   /// not affect recovery and costs events.
@@ -98,11 +101,11 @@ struct TrialSpec {
   /// so legacy trials reproduce the seed's cold-path numbers bit-for-bit.
   bool enable_checkpoints = false;
   util::Duration checkpoint_ttl = util::Duration::minutes(10.0);
-  /// Damage applied to the failed component's checkpoint at injection time
-  /// (kPoison needs harden_restart_path: the warm attempt crashes and only
-  /// the restart deadline notices; kKill drops the tier's copy outright).
+  /// Damage applied to the failed component's local (L0) checkpoint at
+  /// injection time (kPoison needs harden_restart_path: the warm attempt
+  /// crashes and only the restart deadline notices; kKill drops the copy
+  /// outright).
   enum class CheckpointDamage { kNone, kCorrupt, kPoison, kStale, kKill };
-  /// Targets the victim's *local* (L0) snapshot (legacy knob).
   CheckpointDamage checkpoint_damage = CheckpointDamage::kNone;
 
   // --- Tiered checkpoint storage (ISSUE 7) --------------------------------
@@ -112,10 +115,6 @@ struct TrialSpec {
   bool checkpoint_l1 = false;
   /// Enable the stable file-backed (L2) tier.
   bool checkpoint_l2 = false;
-  /// Damage applied to the victim's partner-replica / stable copies at
-  /// injection time (same semantics as checkpoint_damage).
-  CheckpointDamage checkpoint_l1_damage = CheckpointDamage::kNone;
-  CheckpointDamage checkpoint_l2_damage = CheckpointDamage::kNone;
   /// Correlated failure: the injected fault also crashes the victim's L1
   /// replica host (whole-group / coupled-component loss) — the replica dies
   /// with its host, leaving only L2 between the victim and a cold start.

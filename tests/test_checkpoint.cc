@@ -630,7 +630,7 @@ TEST(TieredRestartTrial, RebuildRepopulatesLostTierAndSecondFailureWarmsAgain) {
   sim::Simulator sim(spec.seed);
   MercuryRig rig(sim, spec);
   rig.start();
-  sim.run_for(spec.warmup);
+  sim.run_for(kTrialWarmup);
 
   const auto recover = [&] {
     const util::TimePoint deadline = sim.now() + spec.timeout;

@@ -9,6 +9,7 @@
 #include "station/downlink.h"
 #include "station/experiment.h"
 #include "station/health_reporter.h"
+#include "util/log.h"
 
 namespace mercury {
 namespace {
@@ -155,6 +156,30 @@ TEST_F(HealthMonitorTest, FailedSelfCheckActsImmediately) {
   beacon.consistency_ok = false;
   send_beacon(beacon);
   EXPECT_EQ(rejuvenated_, std::vector<std::string>{"ses"});
+}
+
+TEST_F(HealthMonitorTest, QueueDepthOverLimitTriggersRejuvenation) {
+  // The rejuvenation reason only reaches the log; capture the monitor's
+  // lines for the duration of the test.
+  util::Logger& logger = util::Logger::instance();
+  const util::LogLevel saved_level = logger.level();
+  std::vector<std::string> lines;
+  logger.set_level(util::LogLevel::kInfo);
+  logger.set_sink([&](util::LogLevel, util::TimePoint, std::string_view component,
+                      std::string_view message) {
+    if (component == "hm") lines.emplace_back(message);
+  });
+
+  make_monitor();
+  core::HealthBeacon beacon = healthy("str");
+  beacon.queue_depth = 1500.0;  // limit is 1000
+  send_beacon(beacon);
+  logger.set_sink(nullptr);
+  logger.set_level(saved_level);
+
+  EXPECT_EQ(rejuvenated_, std::vector<std::string>{"str"});
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("queue depth 1500"), std::string::npos) << lines[0];
 }
 
 TEST_F(HealthMonitorTest, MaintenanceWindowDefersUntilOpen) {

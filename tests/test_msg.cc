@@ -1,6 +1,8 @@
 // Unit tests: the command-language message schema.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "msg/message.h"
@@ -21,13 +23,18 @@ TEST(Message, KindStringsRoundTrip) {
 }
 
 TEST(Message, EncodeDecodeRoundTrip) {
-  Message m = make_command("rtu", "fedr", 42, "tune");
-  m.body.set_attr("freq_hz", 437.1e6);
-  m.body.add_child(xml::Element("note")).set_text("doppler corrected");
+  // Sequence numbers span the full uint64 range, 2^63 and above included.
+  for (const std::uint64_t seq : {std::uint64_t{42}, std::uint64_t{1} << 63,
+                                  std::numeric_limits<std::uint64_t>::max()}) {
+    Message m = make_command("rtu", "fedr", seq, "tune");
+    m.in_reply_to = seq;
+    m.body.set_attr("freq_hz", 437.1e6);
+    m.body.add_child(xml::Element("note")).set_text("doppler corrected");
 
-  auto decoded = decode(encode(m));
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-  EXPECT_EQ(decoded.value(), m);
+    auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.ok()) << seq << ": " << decoded.error().message();
+    EXPECT_EQ(decoded.value(), m) << seq;
+  }
 }
 
 TEST(Message, RoundTripAllKinds) {
@@ -86,6 +93,14 @@ TEST(Message, DecodeRejectsMissingFields) {
   EXPECT_FALSE(decode(R"(<msg type="nope" from="a" to="b" seq="1"/>)").ok());
   EXPECT_FALSE(
       decode(R"(<msg type="ping" from="a" to="b" seq="-3"/>)").ok());
+  EXPECT_FALSE(
+      decode(R"(<msg type="ping" from="a" to="b" seq="-1"/>)").ok());
+  EXPECT_FALSE(decode(
+      R"(<msg type="ping" from="a" to="b" seq="18446744073709551616"/>)").ok());
+  EXPECT_FALSE(decode(
+      R"(<msg type="pong" from="a" to="b" seq="1" reply-to="-1"/>)").ok());
+  EXPECT_FALSE(decode(
+      R"(<msg type="pong" from="a" to="b" seq="1" reply-to="18446744073709551616"/>)").ok());
   EXPECT_FALSE(decode(R"(<notmsg type="ping" from="a" to="b" seq="1"/>)").ok());
   EXPECT_FALSE(decode("not xml at all").ok());
 }

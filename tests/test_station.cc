@@ -2,8 +2,11 @@
 // and the process manager.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/mercury_trees.h"
 #include "sim/simulator.h"
+#include "station/experiment.h"
 #include "station/fault_injector.h"
 #include "orbit/pass_predictor.h"
 #include "station/station.h"
@@ -420,6 +423,48 @@ TEST_F(StationTest, InjectorSuppressesDoubleFaults) {
   // Nothing repairs failures here, so after the first crash every further
   // draw is suppressed: exactly one active failure per component at most.
   EXPECT_LE(station_->board().active_at(names::kFedrcom).size(), 1u);
+}
+
+// Pins the injector's draw stream: a supervised campaign at the default
+// InjectorConfig, with Table-1 rates scaled up so every component fails and
+// is recovered several times. Any change to what FaultInjector draws, or in
+// which order, moves these counts and instants.
+TEST(FaultInjectorStream, DefaultConfigCampaignIsPinned) {
+  sim::Simulator sim(2024);
+  TrialSpec spec;
+  spec.tree = core::MercuryTree::kTreeV;
+  spec.oracle = OracleKind::kHeuristic;
+  spec.cal.mttf_mbus = Duration::hours(1.0);
+  spec.cal.mttf_fedr = Duration::minutes(5.0);
+  spec.cal.mttf_pbcom = Duration::minutes(30.0);
+  spec.cal.mttf_ses = Duration::minutes(20.0);
+  spec.cal.mttf_str = Duration::minutes(20.0);
+  spec.cal.mttf_rtu = Duration::minutes(20.0);
+  MercuryRig rig(sim, spec);
+  rig.start();
+
+  FaultInjector injector(rig.station(), InjectorConfig{});
+  std::vector<double> fedr_onsets;
+  rig.station().board().add_inject_listener([&](const core::ActiveFailure& f) {
+    if (f.spec.manifest == names::kFedr && fedr_onsets.size() < 5) {
+      fedr_onsets.push_back(f.onset.to_seconds());
+    }
+  });
+  injector.start();
+  sim.run_for(Duration::hours(6.0));
+
+  EXPECT_EQ(injector.injected(names::kMbus), 6u);
+  EXPECT_EQ(injector.injected(names::kFedr), 59u);
+  EXPECT_EQ(injector.injected(names::kPbcom), 17u);
+  EXPECT_EQ(injector.injected(names::kSes), 18u);
+  EXPECT_EQ(injector.injected(names::kStr), 23u);
+  EXPECT_EQ(injector.injected(names::kRtu), 13u);
+  // Exact doubles (17 significant digits round-trip).
+  EXPECT_EQ(fedr_onsets, (std::vector<double>{
+                             554.26161668579539, 952.86451982245967,
+                             1120.6810171518925, 1370.347036320102,
+                             1590.0242948522307}));
+  EXPECT_TRUE(rig.rec().hard_failures().empty());
 }
 
 }  // namespace
