@@ -1,5 +1,6 @@
 #include "bus/message_bus.h"
 
+#include <cassert>
 #include <functional>
 #include <string_view>
 
@@ -64,30 +65,38 @@ std::vector<std::string> MessageBus::endpoint_names() const {
 constexpr std::size_t kMaxWireBytes = 64 * 1024;
 
 void MessageBus::send(const msg::Message& message) {
+  if (admit(message)) route(std::make_shared<const msg::Message>(message));
+}
+
+void MessageBus::send(msg::Message&& message) {
+  if (admit(message)) {
+    route(std::make_shared<const msg::Message>(std::move(message)));
+  }
+}
+
+bool MessageBus::admit(const msg::Message& message) {
   ++stats_.sent;
   if (!online_) {
     ++stats_.dropped_bus_down;
-    return;
+    return false;
   }
-  const std::string wire = msg::encode(message);
-  if (wire.size() > kMaxWireBytes) {
+  const std::size_t wire_bytes = msg::encoded_size(message);
+  // Debug builds cross-check the size counter against the real encoder on
+  // every message the tests send.
+  assert(wire_bytes == msg::encode(message).size());
+  if (wire_bytes > kMaxWireBytes) {
     ++stats_.dropped_oversize;
     LogLine(LogLevel::kWarn, sim_.now(), "mbus")
         << "dropping oversize message from " << message.from << " ("
-        << wire.size() << " bytes)";
-    return;
+        << wire_bytes << " bytes)";
+    return false;
   }
-
-  // Re-parse the frame once, up front: decode() is pure, so sharing one
-  // decoded message across every delivery is indistinguishable from the old
-  // per-delivery parse — and a broadcast no longer decodes the same bytes
-  // once per target. Only data representable in the command language still
-  // crosses the bus (the receiver sees the round-tripped message, not the
-  // original).
-  auto parsed = msg::decode(wire);
-  if (!parsed.ok()) {
-    // Should be unreachable: we encoded it ourselves. Count as a drop per
-    // target rather than crash the bus on a malformed frame.
+  // The command language has no frame without both endpoints (msg::decode
+  // rejects one): count it as a drop per target rather than deliver it.
+  const char* missing = message.from.empty() ? "from"
+                        : message.to.empty()  ? "to"
+                                              : nullptr;
+  if (missing != nullptr) {
     if (message.to == "*") {
       for (const auto& [name, receiver] : endpoints_) {
         if (name != message.from) ++stats_.dropped_no_endpoint;
@@ -96,25 +105,26 @@ void MessageBus::send(const msg::Message& message) {
       ++stats_.dropped_no_endpoint;
     }
     LogLine(LogLevel::kError, sim_.now(), "mbus")
-        << "undecodable frame: " << parsed.error().message();
-    return;
+        << "undecodable frame: <msg> missing '" << missing << "' attribute";
+    return false;
   }
-  const auto decoded =
-      std::make_shared<const msg::Message>(std::move(parsed).value());
+  return true;
+}
 
-  if (message.to == "*") {
+void MessageBus::route(const std::shared_ptr<const msg::Message>& message) {
+  if (message->to == "*") {
     // Scheduling deliveries never mutates the endpoint table, so broadcasts
     // iterate it directly (same order the old targets vector was built in).
     for (const auto& [name, receiver] : endpoints_) {
-      if (name != message.from) dispatch(name, decoded);
+      if (name != message->from) dispatch(name, message);
     }
   } else {
-    dispatch(message.to, decoded);
+    dispatch(message->to, message);
   }
 }
 
 void MessageBus::dispatch(const std::string& target,
-                          const std::shared_ptr<const msg::Message>& decoded) {
+                          const std::shared_ptr<const msg::Message>& message) {
   if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
     ++stats_.dropped_lossy;
     return;
@@ -123,19 +133,22 @@ void MessageBus::dispatch(const std::string& target,
       config_.latency +
       Duration::seconds(rng_.uniform(0.0, config_.latency_jitter.to_seconds()));
   const std::uint64_t epoch = epoch_;
-  if (target == decoded->to) {
-    // Point-to-point: the decoded message already names the target — no
+  const sim::Label label = sim::Label::prefixed("mbus.deliver:", target);
+  if (target == message->to) {
+    // Point-to-point: the message already names the target — no
     // per-delivery string copy in the closure.
-    sim_.schedule_after(latency, "mbus.deliver:" + target,
-                        [this, epoch, decoded] { deliver(epoch, decoded->to, decoded); });
+    sim_.schedule_after(latency, label, [this, epoch, message] {
+      deliver(epoch, message->to, message);
+    });
   } else {
-    sim_.schedule_after(latency, "mbus.deliver:" + target,
-                        [this, epoch, target, decoded] { deliver(epoch, target, decoded); });
+    sim_.schedule_after(latency, label, [this, epoch, target, message] {
+      deliver(epoch, target, message);
+    });
   }
 }
 
 void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
-                         const std::shared_ptr<const msg::Message>& decoded) {
+                         const std::shared_ptr<const msg::Message>& message) {
   if (!online_ || epoch != epoch_) {
     ++stats_.dropped_bus_down;
     return;
@@ -151,7 +164,7 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
     const auto mid_restart = restarting_.find(to);
     if (mid_restart != restarting_.end() &&
         (config_.typed_restart_errors || touch_listener_)) {
-      const msg::Message& request = *decoded;
+      const msg::Message& request = *message;
       if (touch_listener_) touch_listener_(to, request.from);
       // Never answer a nack with a nack (no error-on-error loops), and
       // never answer our own error messages.
@@ -161,7 +174,7 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
         msg::Message error = msg::make_nack(request, "mbus", "restarting");
         error.body.set_attr("component", to);
         error.body.set_attr("epoch", std::to_string(mid_restart->second));
-        send(error);
+        send(std::move(error));
         return;
       }
     }
@@ -172,7 +185,7 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
   // Copy the receiver: the callback may detach/re-attach endpoints, which
   // moves flat-map slots out from under the pointer.
   Receiver receiver = *receiver_slot;
-  receiver(*decoded);
+  receiver(*message);
 }
 
 void MessageBus::crash() {

@@ -1,8 +1,19 @@
 // mbus — the Mercury software message bus (paper §2.1).
 //
 // "Messages are exchanged over a TCP/IP-based software messaging bus."
-// Components attach under a well-known name and receive XML command-language
-// messages. Delivery is asynchronous with a small configurable latency.
+// Components attach under a well-known name and receive messages of the XML
+// command language (msg/message.h). Delivery is asynchronous with a small
+// configurable latency.
+//
+// In process the bus delivers the typed msg::Message itself: one immutable
+// shared copy per send, no encode/parse/decode. The wire format still sets
+// the rules: a message whose encoding would exceed 64 KiB is dropped
+// (msg::encoded_size counts the bytes without building them), and one the
+// codec could not decode (no `from` or no `to`) is dropped as undecodable.
+// That every message the program builds is representable in the command
+// language — decode(encode(m)) == m — is a tested property
+// (tests/test_msg.cc), so delivering the typed value is indistinguishable
+// from the round trip.
 //
 // Failure semantics mirror the paper's mbus process:
 //   * The bus itself can crash (fail-silent). While down, every message is
@@ -79,10 +90,12 @@ class MessageBus {
   std::vector<std::string> endpoint_names() const;
 
   /// Route a message. `to == "*"` broadcasts to every endpoint except the
-  /// sender. Messages are serialized to the wire format and re-parsed at
-  /// delivery, so only data representable in the command language crosses
-  /// the bus (and size limits apply to real encoded bytes).
+  /// sender. Every receiver of one send shares one immutable copy of the
+  /// message (moved in from an rvalue). The size limit applies to the bytes
+  /// the message would encode to; a message with no `from` or `to` is
+  /// dropped, as the wire codec would reject it.
   void send(const msg::Message& message);
+  void send(msg::Message&& message);
 
   /// Crash the bus: drops all in-flight messages and everything sent while
   /// down. Endpoints remain registered (the TCP peers don't know yet).
@@ -111,16 +124,16 @@ class MessageBus {
   const BusStats& stats() const { return stats_; }
 
  private:
-  /// Schedule one delivery of `decoded` to `target` (loss + latency applied).
+  /// Counts the send and applies the bus-down, oversize and undecodable
+  /// drops; true when the message may be routed.
+  bool admit(const msg::Message& message);
+  /// Fan `message` out to its target, or to every other endpoint for "*".
+  void route(const std::shared_ptr<const msg::Message>& message);
+  /// Schedule one delivery of `message` to `target` (loss + latency applied).
   void dispatch(const std::string& target,
-                const std::shared_ptr<const msg::Message>& decoded);
-  /// `decoded` is the wire frame re-parsed through the command-language
-  /// codec. decode() is pure, so it runs once at send time and the result is
-  /// shared by every delivery of that frame (a broadcast used to re-parse
-  /// the same bytes once per target); each receiver still sees exactly what
-  /// a per-delivery parse would have produced.
+                const std::shared_ptr<const msg::Message>& message);
   void deliver(std::uint64_t epoch, const std::string& to,
-               const std::shared_ptr<const msg::Message>& decoded);
+               const std::shared_ptr<const msg::Message>& message);
   /// Routing lookup through the route cache; nullptr when unattached. The
   /// returned pointer is valid only until the next endpoint mutation.
   Receiver* find_receiver(const std::string& to);

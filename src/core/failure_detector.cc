@@ -38,7 +38,7 @@ void FailureDetector::start() {
   std::size_t index = 0;
   for (auto& [name, target] : targets_) {
     target.loop = std::make_unique<sim::PeriodicTask>(
-        sim_, "fd.ping:" + name, config_.ping_period,
+        sim_, sim::Label::prefixed("fd.ping:", name), config_.ping_period,
         [this, &target] { ping(target); });
     const Duration phase =
         config_.ping_period * (static_cast<double>(index + 1) / static_cast<double>(n));
@@ -92,7 +92,8 @@ void FailureDetector::ping(TargetState& target) {
   bus_.send(msg::make_ping(names::kFd, target.name, seq));
   ++pings_sent_;
   target.timeout_event = sim_.schedule_after(
-      config_.ping_timeout, "fd.timeout:" + target.name, [this, &target, seq] {
+      config_.ping_timeout, sim::Label::prefixed("fd.timeout:", target.name),
+      [this, &target, seq] {
         if (target.outstanding_seq == seq) on_ping_timeout(target);
       });
 }

@@ -70,6 +70,16 @@ std::string encode(const Message& message) {
 
 namespace {
 
+/// Decimal digits of `value`, as std::to_string writes them.
+std::size_t decimal_digits(std::uint64_t value) {
+  std::size_t digits = 1;
+  while (value >= 10) {
+    value /= 10;
+    ++digits;
+  }
+  return digits;
+}
+
 /// A sequence-number attribute: the full unsigned 64-bit range, decimal
 /// digits only (no sign, no whitespace), rejected on overflow.
 std::optional<std::uint64_t> parse_seq(const std::string& v) {
@@ -80,6 +90,25 @@ std::optional<std::uint64_t> parse_seq(const std::string& v) {
 }
 
 }  // namespace
+
+std::size_t encoded_size(const Message& message) {
+  // Mirrors encode() field by field; test_msg pins the two together.
+  std::size_t size = std::string_view{"<msg from=\"\""}.size() +
+                     xml::escaped_attr_size(message.from);
+  if (message.in_reply_to) {
+    size += std::string_view{" reply-to=\"\""}.size() +
+            decimal_digits(*message.in_reply_to);
+  }
+  size += std::string_view{" seq=\"\" to=\"\" type=\"\""}.size() +
+          decimal_digits(message.seq) + xml::escaped_attr_size(message.to) +
+          to_string(message.kind).size();
+  if (!message.verb.empty()) {
+    size += std::string_view{" verb=\"\""}.size() +
+            xml::escaped_attr_size(message.verb);
+  }
+  return size + 1 + xml::written_size(message.body) +
+         std::string_view{"</msg>"}.size();
+}
 
 Result<Message> decode(std::string_view wire) {
   auto doc = xml::parse(wire);

@@ -12,10 +12,17 @@
 //   telemetry              — downlinked science/housekeeping data
 //   event                  — asynchronous notifications (e.g. pass start)
 //
-// The wire format is the serialized XML; Message <-> XML conversion is
-// lossless and round-trip tested.
+// The wire format is the serialized XML. In process, mbus delivers the typed
+// Message itself and never builds the XML: encoded_size() sizes a message
+// for the bus's 64 KiB limit, and encode()/decode() remain the codec for
+// whatever needs the bytes (benchmarks, tests). Delivering the typed value
+// is faithful because every message the program builds is representable —
+// decode(encode(m)) == m — which tests/test_msg.cc checks for each message
+// shape, alongside encoded_size(m) == encode(m).size() over randomized
+// messages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -59,6 +66,10 @@ struct Message {
 
 /// Serialize to the XML wire format.
 std::string encode(const Message& message);
+
+/// encode(message).size(), counted without building the string: the bus's
+/// oversize check runs on every send.
+std::size_t encoded_size(const Message& message);
 
 /// Parse the XML wire format. Fails on missing/unknown required fields.
 util::Result<Message> decode(std::string_view wire);

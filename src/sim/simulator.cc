@@ -9,6 +9,13 @@
 
 namespace mercury::sim {
 
+std::string Label::text() const {
+  std::string text;
+  text.reserve(prefix_.size() + target_.size() + suffix_.size());
+  text.append(prefix_).append(target_).append(suffix_);
+  return text;
+}
+
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
 std::uint32_t Simulator::acquire_slot() {
@@ -26,7 +33,7 @@ void Simulator::release_slot(std::uint32_t index) {
   Event& slot = slots_[index];
   slot.seq = 0;
   slot.fn = nullptr;      // release the closure now, not at slot reuse
-  slot.label.clear();     // keeps capacity for the next occupant
+  slot.target.clear();    // keeps capacity for the next occupant
   free_slots_.push_back(index);
 }
 
@@ -70,14 +77,16 @@ void Simulator::prune_stale() const {
   }
 }
 
-EventId Simulator::schedule_at(TimePoint t, std::string label,
+EventId Simulator::schedule_at(TimePoint t, Label label,
                                std::function<void()> fn) {
   assert(fn);
   const std::uint32_t index = acquire_slot();
   Event& slot = slots_[index];
   slot.at = std::max(t, now_);
   slot.seq = next_seq_++;
-  slot.label = std::move(label);
+  slot.prefix = label.prefix();
+  slot.target.assign(label.target());
+  slot.suffix = label.suffix();
   slot.fn = std::move(fn);
   heap_.push_back(HeapEntry{slot.at, slot.seq, index});
   sift_up(heap_.size() - 1);
@@ -85,10 +94,10 @@ EventId Simulator::schedule_at(TimePoint t, std::string label,
   return EventId{index, slot.seq};
 }
 
-EventId Simulator::schedule_after(Duration delay, std::string label,
+EventId Simulator::schedule_after(Duration delay, Label label,
                                   std::function<void()> fn) {
   assert(!delay.is_negative());
-  return schedule_at(now_ + delay, std::move(label), std::move(fn));
+  return schedule_at(now_ + delay, label, std::move(fn));
 }
 
 bool Simulator::cancel(EventId id) {
@@ -115,23 +124,27 @@ bool Simulator::step() {
   const HeapEntry top = heap_.front();
   pop_top();
   Event& slot = slots_[top.slot];
-  // Move the payload out and free the slot before firing: the event is no
+  // Move the closure out and free the slot before firing: the event is no
   // longer cancellable once it runs (its own callback sees cancel == false,
   // as before), and the slot is immediately reusable by whatever it
-  // schedules.
-  std::string label = std::move(slot.label);
+  // schedules. Per-event kernel tracing is opt-in
+  // (TraceRecorder::set_sim_events): a long run fires millions of events,
+  // which would bury the recovery signal. The label's text is joined only
+  // for a reader.
+  obs::TraceRecorder* rec = obs::recorder();
+  if (rec != nullptr && !rec->sim_events()) rec = nullptr;
+  const bool debug = util::Logger::instance().enabled(util::LogLevel::kDebug);
+  std::string label;
+  if (rec != nullptr || debug) {
+    label = Label(slot.prefix, slot.target, slot.suffix).text();
+  }
   std::function<void()> fn = std::move(slot.fn);
   release_slot(top.slot);
   assert(top.at >= now_);
   now_ = top.at;
   ++events_executed_;
-  // Per-event kernel tracing is opt-in (TraceRecorder::set_sim_events): a
-  // long run fires millions of events, which would bury the recovery signal.
-  if (obs::TraceRecorder* rec = obs::recorder();
-      rec != nullptr && rec->sim_events()) {
-    rec->instant(now_.to_seconds(), "sim", label, "sim");
-  }
-  if (util::Logger::instance().enabled(util::LogLevel::kDebug)) {
+  if (rec != nullptr) rec->instant(now_.to_seconds(), "sim", label, "sim");
+  if (debug) {
     util::LogLine(util::LogLevel::kDebug, now_, "sim") << "fire " << label;
   }
   fn();
@@ -160,10 +173,12 @@ void Simulator::run_all(std::uint64_t max_events) {
   }
 }
 
-PeriodicTask::PeriodicTask(Simulator& sim, std::string label, Duration period,
+PeriodicTask::PeriodicTask(Simulator& sim, Label label, Duration period,
                            std::function<void()> fn)
     : sim_(sim),
-      label_(std::move(label)),
+      label_prefix_(label.prefix()),
+      label_target_(label.target()),
+      label_suffix_(label.suffix()),
       period_(period),
       fn_(std::move(fn)),
       alive_(std::make_shared<bool>(true)) {
@@ -176,13 +191,17 @@ PeriodicTask::~PeriodicTask() {
   stop();
 }
 
+Label PeriodicTask::label() const {
+  return Label(label_prefix_, label_target_, label_suffix_);
+}
+
 void PeriodicTask::start() { start_with_phase(period_); }
 
 void PeriodicTask::start_with_phase(Duration phase) {
   stop();
   running_ = true;
   std::shared_ptr<bool> alive = alive_;
-  pending_ = sim_.schedule_after(phase, label_, [this, alive] {
+  pending_ = sim_.schedule_after(phase, label(), [this, alive] {
     if (*alive) fire();
   });
 }
@@ -204,7 +223,7 @@ void PeriodicTask::set_period(Duration period) {
 void PeriodicTask::fire() {
   if (!running_) return;
   std::shared_ptr<bool> alive = alive_;
-  pending_ = sim_.schedule_after(period_, label_, [this, alive] {
+  pending_ = sim_.schedule_after(period_, label(), [this, alive] {
     if (*alive) fire();
   });
   fn_();

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -30,6 +31,43 @@ namespace mercury::sim {
 using util::Duration;
 using util::Rng;
 using util::TimePoint;
+
+/// An event's label, as it appears in sim-event traces and debug logs:
+/// prefix + target + suffix, e.g. "mbus.deliver:" + "ses" or
+/// "cli.3" + ".timeout". Prefix and suffix must have static storage (string
+/// literals); only the target is copied when the event is scheduled, into
+/// a buffer the event slot keeps, so scheduling allocates nothing once the
+/// slab has warmed up. The joined text is built only when a trace or the
+/// debug log reads it.
+class Label {
+ public:
+  /// A fixed label (a string literal).
+  constexpr Label(const char* text) : prefix_(text) {}
+  /// A label made at run time; copied when the event is scheduled.
+  Label(const std::string& text) : target_(text) {}
+  constexpr Label(std::string_view prefix, std::string_view target,
+                  std::string_view suffix)
+      : prefix_(prefix), target_(target), suffix_(suffix) {}
+
+  static constexpr Label prefixed(std::string_view prefix,
+                                  std::string_view target) {
+    return Label(prefix, target, {});
+  }
+  static constexpr Label suffixed(std::string_view target,
+                                  std::string_view suffix) {
+    return Label({}, target, suffix);
+  }
+
+  std::string_view prefix() const { return prefix_; }
+  std::string_view target() const { return target_; }
+  std::string_view suffix() const { return suffix_; }
+  std::string text() const;
+
+ private:
+  std::string_view prefix_;
+  std::string_view target_;
+  std::string_view suffix_;
+};
 
 /// Opaque handle for a scheduled event; valid until the event fires or is
 /// cancelled. Internally a (slot, generation) pair into the simulator's
@@ -58,11 +96,11 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   /// Schedule `fn` at absolute time `t` (>= now; earlier times are clamped
-  /// to now). The label appears in debug traces.
-  EventId schedule_at(TimePoint t, std::string label, std::function<void()> fn);
+  /// to now). The label appears in sim-event traces and debug logs.
+  EventId schedule_at(TimePoint t, Label label, std::function<void()> fn);
 
   /// Schedule `fn` after a non-negative delay.
-  EventId schedule_after(Duration delay, std::string label, std::function<void()> fn);
+  EventId schedule_after(Duration delay, Label label, std::function<void()> fn);
 
   /// Cancel a pending event in O(1). Returns false if it already fired or
   /// was cancelled (including handles from a previous use of a reused slot).
@@ -88,12 +126,14 @@ class Simulator {
 
  private:
   /// One slab slot. seq == 0 means the slot is free; otherwise it holds the
-  /// pending event scheduled with that seq. Freed slots keep their string
-  /// capacity for reuse.
+  /// pending event scheduled with that seq. Freed slots keep the target's
+  /// string capacity for reuse.
   struct Event {
     TimePoint at;
     std::uint64_t seq = 0;
-    std::string label;
+    std::string_view prefix;
+    std::string target;
+    std::string_view suffix;
     std::function<void()> fn;
   };
 
@@ -138,7 +178,7 @@ class Simulator {
 class PeriodicTask {
  public:
   /// `fn` runs every `period`, first at now+period (or now+phase if given).
-  PeriodicTask(Simulator& sim, std::string label, Duration period,
+  PeriodicTask(Simulator& sim, Label label, Duration period,
                std::function<void()> fn);
   ~PeriodicTask();
 
@@ -155,8 +195,14 @@ class PeriodicTask {
  private:
   void fire();
 
+  /// The label's parts, with the target owned (the task outlives any one
+  /// caller's string).
+  Label label() const;
+
   Simulator& sim_;
-  std::string label_;
+  std::string_view label_prefix_;
+  std::string label_target_;
+  std::string_view label_suffix_;
   Duration period_;
   std::function<void()> fn_;
   EventId pending_;

@@ -52,7 +52,9 @@ void Component::attach_to_bus() {
                         [this](const msg::Message& message) { receive(message); });
 }
 
-void Component::send(const msg::Message& message) { station_.bus().send(message); }
+void Component::send(msg::Message message) {
+  station_.bus().send(std::move(message));
+}
 
 void Component::receive(const msg::Message& message) {
   // Fail-silence (§2.2): a manifesting or down component consumes the

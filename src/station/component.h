@@ -81,7 +81,7 @@ class Component {
 
   /// Send a message from this component over mbus (silently dropped by the
   /// bus when it is down — fail-silent, like a dead TCP write).
-  void send(const msg::Message& message);
+  void send(msg::Message message);
   std::uint64_t next_seq() { return seq_++; }
 
   Station& station_;

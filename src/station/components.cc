@@ -58,7 +58,7 @@ void SesComponent::publish_ephemeris() {
   ephemeris.body.set_attr("range_km", look.range_km);
   ephemeris.body.set_attr("range_rate_km_s", look.range_rate_km_s);
   ephemeris.body.set_attr("visible", std::string{visible ? "1" : "0"});
-  send(ephemeris);
+  send(std::move(ephemeris));
   ++published_;
 }
 
@@ -111,7 +111,7 @@ void RtuComponent::handle_message(const msg::Message& message) {
   msg::Message tune = msg::make_command(name(), station_.radio_frontend_name(),
                                         next_seq(), "tune");
   tune.body.set_attr("freq_hz", tuned);
-  send(tune);
+  send(std::move(tune));
   ++tunes_;
   last_tuned_hz_ = tuned;
   save_tuning_checkpoint();

@@ -273,7 +273,7 @@ TrialResult run_trial(const TrialSpec& spec) {
   // concurrently.
   for (const auto& extra : spec.extra_faults) {
     const std::string name = extra.component;
-    sim.schedule_after(extra.delay, "extra-fault." + name,
+    sim.schedule_after(extra.delay, sim::Label::prefixed("extra-fault.", name),
                        [&rig, name] { rig.station().inject_crash(name); });
   }
 

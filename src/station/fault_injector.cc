@@ -61,7 +61,8 @@ void FaultInjector::schedule_next(Source& source) {
   const Duration lifetime = draw_lifetime(source);
   const std::uint64_t epoch = fedr_epoch_;
   station_.sim().schedule_after(
-      lifetime, "inject:" + source.component, [this, &source, epoch] {
+      lifetime, sim::Label::prefixed("inject:", source.component),
+      [this, &source, epoch] {
         if (source.component == names::kFedr && epoch != fedr_epoch_) {
           return;  // rejuvenated since this draw; a fresh draw is scheduled
         }

@@ -37,7 +37,8 @@ void ProcessManager::soft_recover(const std::string& component,
   const std::uint64_t span = obs::begin_span(
       station_.sim().now(), "restart", "soft:" + name, "pm");
   station_.sim().schedule_after(
-      station_.cal().soft_recovery_duration, "soft-recover:" + name,
+      station_.cal().soft_recovery_duration,
+      sim::Label::prefixed("soft-recover:", name),
       [this, name, span, on_complete = std::move(on_complete)] {
         Component* target = station_.component(name);
         // A kill that raced in supersedes the soft procedure; the restart
@@ -290,7 +291,8 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
     // The startup runs its course, then dies: the component stays down, its
     // group stays incomplete, and the attempt counter advances.
     station_.sim().schedule_after(
-        startup, "restart.crash:" + name, [this, name, epoch] {
+        startup, sim::Label::prefixed("restart.crash:", name),
+        [this, name, epoch] {
           Proc& proc = procs_[name];
           if (proc.epoch != epoch) return;  // superseded meanwhile
           station_.board().note_restart_crash(name, station_.sim().now());
@@ -313,7 +315,7 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
     // the poisoned snapshot so the retry runs cold.
     ++checkpoint_crashes_;
     station_.sim().schedule_after(
-        startup, "restart.ckpt-poisoned:" + name,
+        startup, sim::Label::prefixed("restart.ckpt-poisoned:", name),
         [this, name, epoch, warm_tier] {
           Proc& proc = procs_[name];
           if (proc.epoch != epoch) return;  // superseded meanwhile
@@ -334,7 +336,8 @@ void ProcessManager::begin_attempt(const std::string& name, double contention) {
   }
 
   station_.sim().schedule_after(
-      startup, "restart.complete:" + name, [this, name, epoch, warm] {
+      startup, sim::Label::prefixed("restart.complete:", name),
+      [this, name, epoch, warm] {
         Proc& proc = procs_[name];
         if (proc.epoch != epoch) return;  // superseded meanwhile
         Component* component = station_.component(name);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -46,17 +47,23 @@ class Logger {
 };
 
 /// Stream-style helper: LogLine(kInfo, now, "ses") << "locked on pass";
+/// At a disabled level it builds nothing: no component copy, no stream.
 class LogLine {
  public:
   LogLine(LogLevel level, TimePoint t, std::string_view component)
-      : level_(level), t_(t), component_(component) {}
+      : level_(level), t_(t) {
+    if (Logger::instance().enabled(level)) {
+      component_ = component;
+      os_.emplace();
+    }
+  }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
   ~LogLine();
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (Logger::instance().enabled(level_)) os_ << v;
+    if (os_) *os_ << v;
     return *this;
   }
 
@@ -64,7 +71,7 @@ class LogLine {
   LogLevel level_;
   TimePoint t_;
   std::string component_;
-  std::ostringstream os_;
+  std::optional<std::ostringstream> os_;
 };
 
 }  // namespace mercury::util

@@ -75,8 +75,9 @@ void WorkloadDriver::schedule_arrival(std::size_t session_index) {
   if (quiesced_) return;
   Session& session = sessions_[session_index];
   const Duration gap = session.rng.exponential(config_.mean_interarrival);
-  session.next_arrival =
-      sim_.schedule_after(gap, session.name + ".arrival", [this, session_index] {
+  session.next_arrival = sim_.schedule_after(
+      gap, sim::Label::suffixed(session.name, ".arrival"),
+      [this, session_index] {
         sessions_[session_index].next_arrival = sim::EventId{};
         issue(session_index);
         schedule_arrival(session_index);
@@ -111,7 +112,7 @@ void WorkloadDriver::send_attempt(Request request) {
   const std::uint64_t seq = next_seq_++;
   ++request.attempts;
   request.timeout_event = sim_.schedule_after(
-      config_.request_timeout, session.name + ".timeout",
+      config_.request_timeout, sim::Label::suffixed(session.name, ".timeout"),
       [this, seq] { on_timeout(seq); });
   bus_.send(msg::make_ping(session.name, session.target, seq));
   in_flight_.emplace(seq, std::move(request));
@@ -165,7 +166,8 @@ void WorkloadDriver::retry_or_lose(Request request,
     resolve(std::move(request), /*served=*/false, lost_detail);
     return;
   }
-  const std::string label = sessions_[request.session].name + ".retry";
+  const sim::Label label =
+      sim::Label::suffixed(sessions_[request.session].name, ".retry");
   sim_.schedule_after(config_.retry_backoff, label,
                       [this, request = std::move(request)]() mutable {
                         send_attempt(std::move(request));

@@ -1,6 +1,5 @@
 #include "xml/element.h"
 
-#include <charconv>
 #include <sstream>
 
 namespace mercury::xml {
@@ -42,16 +41,6 @@ std::optional<double> Element::attr_double(std::string_view key) const {
   char* end = nullptr;
   const double parsed = std::strtod(begin, &end);
   if (end == begin || end != begin + v.size()) return std::nullopt;
-  return parsed;
-}
-
-std::optional<long long> Element::attr_int(std::string_view key) const {
-  const auto it = attributes_.find(key);
-  if (it == attributes_.end()) return std::nullopt;
-  const std::string& v = it->second;
-  long long parsed = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), parsed);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
   return parsed;
 }
 

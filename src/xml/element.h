@@ -32,8 +32,8 @@ class Element {
   void set_name(std::string name) { name_ = std::move(name); }
 
   // --- Attributes (sorted by key for deterministic serialization; stored
-  // as a flat map — every bus message round-trips through the codec, so
-  // attribute lookups are squarely on the hot path) ---
+  // as a flat map — receivers read message bodies on every delivery, so
+  // attribute lookups are on the hot path) ---
   using AttributeMap = util::FlatMap<std::string, std::string>;
   const AttributeMap& attributes() const { return attributes_; }
   std::optional<std::string> attr(std::string_view key) const;
@@ -41,7 +41,6 @@ class Element {
   std::string attr_or(std::string_view key, std::string_view fallback) const;
   /// Numeric attribute; nullopt when absent or unparsable.
   std::optional<double> attr_double(std::string_view key) const;
-  std::optional<long long> attr_int(std::string_view key) const;
   Element& set_attr(std::string key, std::string value);
   /// Insert-if-absent variant for the parser (which must reject duplicate
   /// attributes): returns false and leaves the element unchanged when `key`

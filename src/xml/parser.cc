@@ -306,8 +306,7 @@ class Parser {
 };
 
 // Fast path for the common shape: the compact documents our own writer
-// emits (every bus frame is one — encode() output is re-parsed at send
-// time). Handles elements, attributes, and plain character data only; the
+// emits (every msg::encode frame is one). Handles elements, attributes, and plain character data only; the
 // moment it sees anything else — a prolog, a comment, CDATA, an entity, a
 // duplicate attribute, or any malformed input — it bails and the caller
 // falls back to the full parser, which either handles the construct or

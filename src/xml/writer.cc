@@ -28,6 +28,23 @@ void append_escaped(std::string& out, std::string_view s, bool attr) {
   out.append(s.substr(start));
 }
 
+/// Size of append_escaped's output for the same input.
+std::size_t escaped_size(std::string_view s, bool attr) {
+  std::size_t size = s.size();
+  for (const char c : s) {
+    switch (c) {
+      case '&': size += 4; break;  // &amp;
+      case '<':
+      case '>': size += 3; break;  // &lt; &gt;
+      case '"':
+        if (attr) size += 5;       // &quot;
+        break;
+      default: break;
+    }
+  }
+  return size;
+}
+
 void append_indent(std::string& out, const WriteOptions& options, int depth) {
   if (options.pretty) out.append(2 * static_cast<std::size_t>(depth), ' ');
 }
@@ -96,6 +113,23 @@ void escape_attr_to(std::string& out, std::string_view value) {
 
 void write_to(std::string& out, const Element& element) {
   write_element(out, element, WriteOptions{}, 0);
+}
+
+std::size_t escaped_attr_size(std::string_view value) {
+  return escaped_size(value, /*attr=*/true);
+}
+
+std::size_t written_size(const Element& e) {
+  // Mirrors write_element's compact form byte for byte.
+  std::size_t size = 1 + e.name().size();  // <name
+  for (const auto& [key, value] : e.attributes()) {
+    size += 1 + key.size() + 2 + escaped_size(value, /*attr=*/true) + 1;
+  }
+  if (e.text().empty() && e.children().empty()) return size + 2;  // />
+  size += 1;  // >
+  for (const auto& child : e.children()) size += written_size(*child);
+  size += escaped_size(e.text(), /*attr=*/false);
+  return size + 2 + e.name().size() + 1;  // </name>
 }
 
 std::string write(const Element& element, const WriteOptions& options) {

@@ -4,7 +4,9 @@
 // messages can be compared byte-for-byte in tests and hashed for dedup.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "xml/element.h"
 
@@ -27,6 +29,12 @@ std::string escape_attr(std::string_view value);
 /// strings, compact form only.
 void escape_attr_to(std::string& out, std::string_view value);
 void write_to(std::string& out, const Element& element);
+
+/// Byte counts of what the two append-style writers would emit, computed
+/// without building the output: escaped_attr_size(v) == escape_attr(v).size()
+/// and written_size(e) == write(e).size().
+std::size_t escaped_attr_size(std::string_view value);
+std::size_t written_size(const Element& element);
 
 std::string write(const Element& element, const WriteOptions& options = {});
 

@@ -9,7 +9,11 @@
 
 #include "bus/dedicated_link.h"
 #include "bus/message_bus.h"
+#include "core/mercury_trees.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
+#include "station/experiment.h"
+#include "util/log.h"
 #include "util/rng.h"
 
 namespace mercury::bus {
@@ -141,6 +145,64 @@ TEST_F(BusTest, OversizeMessagesDrop) {
   EXPECT_EQ(bus_.stats().dropped_oversize, 1u);
 }
 
+TEST_F(BusTest, OversizeBoundaryIsExactly64KiBOfEncodedBytes) {
+  // The limit applies to the bytes msg::encode would write: a message that
+  // encodes to exactly 64 KiB is delivered, one byte more is dropped.
+  constexpr std::size_t kLimit = 64 * 1024;
+  auto* inbox = record("ses");
+  msg::Message at_limit = msg::make_command("fd", "ses", 1, "blob");
+  at_limit.body.set_text("x");
+  const std::size_t overhead = msg::encode(at_limit).size() - 1;
+  at_limit.body.set_text(std::string(kLimit - overhead, 'x'));
+  ASSERT_EQ(msg::encode(at_limit).size(), kLimit);
+  msg::Message over = at_limit;
+  over.body.set_text(at_limit.body.text() + "x");
+  ASSERT_EQ(msg::encode(over).size(), kLimit + 1);
+
+  bus_.send(at_limit);
+  bus_.send(over);
+  sim_.run_for(Duration::seconds(1.0));
+  ASSERT_EQ(inbox->size(), 1u);
+  EXPECT_EQ((*inbox)[0], at_limit);
+  EXPECT_EQ(bus_.stats().dropped_oversize, 1u);
+  EXPECT_EQ(bus_.stats().delivered, 1u);
+}
+
+TEST_F(BusTest, MessageWithoutEndpointIsDroppedAsUndecodable) {
+  // The command language has no frame without `from` or `to`: such a
+  // message is counted as a drop per target and logged as undecodable,
+  // never delivered.
+  auto* a = record("a");
+  auto* b = record("b");
+  util::Logger& logger = util::Logger::instance();
+  const util::LogLevel saved_level = logger.level();
+  std::vector<std::string> lines;
+  logger.set_sink([&](util::LogLevel level, util::TimePoint,
+                      std::string_view component, std::string_view message) {
+    if (level == util::LogLevel::kError && component == "mbus") {
+      lines.emplace_back(message);
+    }
+  });
+  logger.set_level(util::LogLevel::kWarn);
+  bus_.send(msg::make_ping("", "a", 1));          // no sender
+  bus_.send(msg::make_ping("fd", "", 2));         // no target
+  bus_.send(msg::make_event("", 3, "ephemeris"));  // anonymous broadcast
+  sim_.run_for(Duration::seconds(1.0));
+  logger.set_sink(nullptr);
+  logger.set_level(saved_level);
+
+  EXPECT_TRUE(a->empty());
+  EXPECT_TRUE(b->empty());
+  EXPECT_EQ(bus_.stats().sent, 3u);
+  EXPECT_EQ(bus_.stats().delivered, 0u);
+  // One per message, plus one per endpoint the broadcast would have reached.
+  EXPECT_EQ(bus_.stats().dropped_no_endpoint, 4u);
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "undecodable frame: <msg> missing 'from' attribute",
+                       "undecodable frame: <msg> missing 'to' attribute",
+                       "undecodable frame: <msg> missing 'from' attribute"}));
+}
+
 TEST_F(BusTest, EndpointNamesSorted) {
   record("zeta");
   record("alpha");
@@ -150,8 +212,9 @@ TEST_F(BusTest, EndpointNamesSorted) {
   EXPECT_EQ(names[1], "zeta");
 }
 
-TEST_F(BusTest, WireFormatRoundTripsThroughBus) {
-  // The bus serializes and re-parses: structured payloads survive.
+TEST_F(BusTest, StructuredPayloadsArriveIntact) {
+  // Receivers get the sender's typed message: structured payloads arrive
+  // exactly as sent.
   auto* inbox = record("str");
   msg::Message m = msg::make_event("ses", 9, "ephemeris");
   m.body.set_attr("el_deg", 45.5);
@@ -159,6 +222,38 @@ TEST_F(BusTest, WireFormatRoundTripsThroughBus) {
   sim_.run_for(Duration::seconds(1.0));
   ASSERT_EQ(inbox->size(), 1u);
   EXPECT_DOUBLE_EQ(*(*inbox)[0].body.attr_double("el_deg"), 45.5);
+  EXPECT_EQ((*inbox)[0], m);
+}
+
+TEST(BusTracing, SimEventLabelsKeepTheirText) {
+  // Labels are scheduled as a static category plus a target and joined only
+  // when a trace reads them; the joined text is what trace readers (and the
+  // kernel census) match on: mbus.deliver:<target>, fd.timeout:<name>,
+  // fd.ping:<name>, <session>.timeout.
+  station::TrialSpec spec;
+  spec.tree = core::MercuryTree::kTreeIV;
+  spec.oracle = station::OracleKind::kPerfect;
+  spec.fail_component = "rtu";
+  spec.seed = 5;
+  spec.traffic.enabled = true;
+  obs::TraceRecorder recorder;
+  recorder.set_sim_events(true);
+  {
+    obs::ScopedRecorder scope(recorder);
+    station::run_trial(spec);
+  }
+  std::set<std::string> labels;
+  for (const auto& event : recorder.events()) {
+    if (event.track == "sim" && event.category == "sim") {
+      labels.insert(event.name);
+    }
+  }
+  for (const std::string expected :
+       {"mbus.deliver:ses", "mbus.deliver:fd", "mbus.deliver:cli.0",
+        "fd.timeout:rtu", "fd.ping:ses", "cli.0.timeout", "cli.0.arrival",
+        "restart.complete:rtu", "link.deliver"}) {
+    EXPECT_TRUE(labels.contains(expected)) << expected;
+  }
 }
 
 // --- Typed mid-restart errors (ISSUE 9) --------------------------------------

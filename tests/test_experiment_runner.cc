@@ -232,6 +232,72 @@ TEST(ExperimentRunner, GoldenBatchByteIdenticalToCommittedFixture) {
   }
 }
 
+/// Tree IV, pbcom failing with ses and rtu close behind, recovered by
+/// traffic-driven on-demand dispatch under client load with per-request
+/// spans: the trial shape that drives the bus's typed "restarting" nacks,
+/// request touches and lazy drains, none of which the sample batch reaches.
+std::vector<station::TrialSpec> traffic_specs() {
+  std::vector<station::TrialSpec> specs;
+  for (std::uint64_t seed : {67ull, 68ull}) {
+    station::TrialSpec spec;
+    spec.tree = core::MercuryTree::kTreeIV;
+    spec.oracle = station::OracleKind::kPerfect;
+    spec.fail_component = "pbcom";
+    spec.extra_faults.push_back({"ses", util::Duration::millis(30.0)});
+    spec.extra_faults.push_back({"rtu", util::Duration::millis(60.0)});
+    spec.dispatch = core::DispatchMode::kOnDemand;
+    spec.traffic_driven = true;
+    spec.traffic.enabled = true;
+    spec.traffic.command_sessions = 4;
+    spec.traffic.telemetry_sessions = 2;
+    spec.traffic.trace_requests = true;
+    spec.traffic.keep_outcome_log = true;
+    spec.seed = seed;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+TEST(ExperimentRunner, GoldenTrafficByteIdenticalToCommittedFixture) {
+  // The client-traffic counterpart of the golden batch: every bus delivery,
+  // typed nack, retry and touch promotion of the traffic specs lands in the
+  // merged trace or the per-request outcome log, so a change to what
+  // crosses the bus, or when, shows here byte for byte. Captured from a
+  // serial run; never regenerate it to make a change pass.
+  const std::string data_dir = MERCURY_TEST_DATA_DIR;
+  const std::string golden_trace =
+      read_file(data_dir + "/golden_traffic.trace.jsonl");
+  const std::string golden_results =
+      read_file(data_dir + "/golden_traffic.results.txt");
+  ASSERT_FALSE(golden_trace.empty());
+  ASSERT_FALSE(golden_results.empty());
+
+  for (const char* jobs : {"1", "2", "8"}) {
+    JobsEnv env(jobs);
+    obs::TraceRecorder recorder;
+    std::ostringstream results;
+    {
+      obs::ScopedRecorder scope(recorder);
+      for (const station::TrialResult& result :
+           station::run_trial_batch(traffic_specs())) {
+        const core::TrafficSummary& t = result.traffic;
+        results << result.recovery.to_seconds() << "," << result.restarts
+                << "," << result.escalations << ","
+                << result.touch_promotions << "," << result.lazy_drains
+                << ";" << t.issued << "," << t.served << "," << t.lost << ","
+                << t.retried << "," << t.restarting_rejections << ","
+                << t.p50_ms << "," << t.p99_ms << "," << t.dip_end_s << ","
+                << t.worst_route_reopen_s << "\n"
+                << result.traffic_outcome_log;
+      }
+    }
+    std::ostringstream trace;
+    recorder.write_jsonl(trace);
+    EXPECT_EQ(trace.str(), golden_trace) << "MERCURY_JOBS=" << jobs;
+    EXPECT_EQ(results.str(), golden_results) << "MERCURY_JOBS=" << jobs;
+  }
+}
+
 TEST(ExperimentRunner, MergedTraceMatchesTheLegacySerialRecorder) {
   // The pre-runner behaviour: every trial recorded directly into one
   // ambient recorder on the calling thread. The runner's per-trial

@@ -4,8 +4,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "core/health.h"
+#include "core/mercury_trees.h"
 #include "msg/message.h"
+#include "util/rng.h"
 #include "xml/element.h"
 #include "xml/writer.h"
 
@@ -139,6 +143,135 @@ TEST(Message, DecodeToleratesMissingBody) {
   auto decoded = decode(R"(<msg type="ping" from="a" to="b" seq="1"/>)");
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().body.name(), "body");
+}
+
+// --- Representability: what the bus delivers in process ---------------------
+//
+// mbus hands receivers the sender's typed Message instead of re-parsing its
+// encoding, which is only faithful if every message the program builds is
+// exactly representable in the command language, and if the oversize check
+// counts the bytes encode() would write.
+
+constexpr std::uint64_t kMaxSeq = std::numeric_limits<std::uint64_t>::max();
+
+/// One of every message shape the simulator and the POSIX supervisor build,
+/// made by the same constructors they use.
+std::vector<Message> program_messages() {
+  namespace names = core::component_names;
+  std::vector<Message> out;
+  // FD liveness probes and their replies (failure_detector.cc, component.cc).
+  const Message fd_ping = make_ping(names::kFd, names::kSes, 17);
+  out.push_back(fd_ping);
+  out.push_back(make_pong(fd_ping, names::kSes));
+  out.push_back(make_ping(names::kFd, names::kMbus, kMaxSeq));
+  // FD -> REC report and REC -> FD mask/unmask over the dedicated link.
+  Message report = make_command(names::kFd, names::kRec, 3, "report-failure");
+  report.body.set_attr("component", names::kPbcom);
+  out.push_back(report);
+  Message mask = make_command(names::kRec, names::kFd, 4, "mask");
+  mask.body.set_attr("components", "fedr,pbcom");
+  out.push_back(mask);
+  // ses's ephemeris broadcast and rtu's Doppler tune command (components.cc).
+  Message ephemeris = make_event(names::kSes, 5, "ephemeris");
+  ephemeris.body.set_attr("az_deg", 213.25);
+  ephemeris.body.set_attr("el_deg", -3.0625);
+  ephemeris.body.set_attr("range_km", 2417.117);
+  ephemeris.body.set_attr("range_rate_km_s", -6.4999999);
+  ephemeris.body.set_attr("visible", std::string{"0"});
+  out.push_back(ephemeris);
+  Message tune = make_command(names::kRtu, names::kFedr, 6, "tune");
+  tune.body.set_attr("freq_hz", 437.1e6 * (1.0 + 2.1e-5));
+  out.push_back(tune);
+  // The radio front end's replies.
+  out.push_back(make_ack(tune, names::kFedr));
+  out.push_back(make_nack(tune, names::kFedr, "missing freq_hz"));
+  out.push_back(make_nack(tune, names::kFedr, "pbcom link down"));
+  // A client request, its pong, and the bus's typed "restarting" nack with
+  // the component and failure epoch (message_bus.cc, workload.cc).
+  const Message request = make_ping("cli.11", names::kStr, kMaxSeq - 1);
+  out.push_back(request);
+  out.push_back(make_pong(request, names::kStr));
+  Message restarting = make_nack(request, names::kMbus, "restarting");
+  restarting.body.set_attr("component", names::kStr);
+  restarting.body.set_attr("epoch", std::to_string(kMaxSeq));
+  out.push_back(restarting);
+  // Health beacons (health_reporter.cc), with and without warnings.
+  core::HealthBeacon beacon;
+  beacon.component = names::kPbcom;
+  beacon.seq = 12;
+  beacon.uptime_s = 3601.5;
+  beacon.memory_mb = 187.3333;
+  beacon.queue_depth = 1500.0;
+  beacon.internal_latency_ms = 0.1;
+  out.push_back(core::encode_beacon(beacon, "hm"));
+  beacon.connectivity_ok = false;
+  beacon.hard_failure_suspected = true;
+  beacon.warnings = {"memory above warn level (187.3 MB)",
+                     "queue <depth> & \"latency\" rising"};
+  out.push_back(core::encode_beacon(beacon, "hm"));
+  return out;
+}
+
+TEST(Representability, EveryProgramMessageSurvivesTheCodec) {
+  for (const Message& m : program_messages()) {
+    const std::string wire = encode(m);
+    EXPECT_EQ(encoded_size(m), wire.size()) << wire;
+    auto decoded = decode(wire);
+    ASSERT_TRUE(decoded.ok()) << wire << ": " << decoded.error().message();
+    EXPECT_EQ(decoded.value(), m) << wire;
+  }
+}
+
+/// A string over an alphabet heavy in the characters escaping rewrites.
+std::string random_text(util::Rng& rng, std::size_t max_len) {
+  static constexpr std::string_view kAlphabet = "ab&<>\"'=/ 01._-";
+  const auto len = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(max_len)));
+  std::string text;
+  for (std::size_t i = 0; i < len; ++i) {
+    text += kAlphabet[rng.next_u64() % kAlphabet.size()];
+  }
+  return text;
+}
+
+xml::Element random_element(util::Rng& rng, std::string name, int depth) {
+  xml::Element element(std::move(name));
+  const int attrs = static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < attrs; ++i) {
+    element.set_attr("k" + std::to_string(i), random_text(rng, 12));
+  }
+  if (depth > 0) {
+    const int children = static_cast<int>(rng.uniform_int(0, 2));
+    for (int i = 0; i < children; ++i) {
+      element.add_child(
+          random_element(rng, "c" + std::to_string(i), depth - 1));
+    }
+  }
+  if (rng.chance(0.5)) element.set_text(random_text(rng, 20));
+  return element;
+}
+
+TEST(Representability, EncodedSizeCountsExactlyTheEncodedBytes) {
+  util::Rng rng(20020623);
+  const std::vector<std::uint64_t> seqs = {0, 9, 10, 99, 100, 1ull << 63,
+                                           kMaxSeq};
+  for (int trial = 0; trial < 2000; ++trial) {
+    Message m;
+    m.kind = static_cast<Kind>(rng.uniform_int(0, 6));
+    m.from = random_text(rng, 8);
+    m.to = random_text(rng, 8);
+    m.seq = rng.chance(0.5) ? seqs[rng.next_u64() % seqs.size()]
+                            : rng.next_u64() >> rng.uniform_int(0, 63);
+    if (rng.chance(0.5)) m.in_reply_to = rng.next_u64();
+    if (rng.chance(0.5)) m.verb = random_text(rng, 10);
+    m.body = random_element(rng, "body", 3);
+    ASSERT_EQ(encoded_size(m), encode(m).size()) << encode(m);
+  }
+
+  Message big = make_command("fd", "ses", kMaxSeq, "blob");
+  big.body.set_text(std::string(200 * 1024, '&'));
+  big.body.add_child(xml::Element("note")).set_text("<\"x\">");
+  EXPECT_EQ(encoded_size(big), encode(big).size());
 }
 
 }  // namespace

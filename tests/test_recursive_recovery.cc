@@ -96,9 +96,12 @@ TEST(RecursiveRecovery, SoftCureLeavesNoEscalationResidue) {
 }
 
 // Soft-cure sweep: every component's stale-attachment transient heals in
-// under two seconds with the soft rung, on every tree that carries it.
+// under two seconds with the soft rung, on every tree that carries it. The
+// component is a std::string, not a const char*: gtest prints the parameter
+// into the ctest name, and a pointer would print its address, new on every
+// build.
 class StaleSweep
-    : public ::testing::TestWithParam<std::tuple<MercuryTree, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<MercuryTree, std::string>> {};
 
 TEST_P(StaleSweep, SoftCureIsFast) {
   const auto [tree, component] = GetParam();
@@ -118,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          MercuryTree::kTreeV),
                        ::testing::Values("mbus", "ses", "str", "rtu", "fedr",
                                          "pbcom")),
-    [](const ::testing::TestParamInfo<std::tuple<MercuryTree, const char*>>&
+    [](const ::testing::TestParamInfo<std::tuple<MercuryTree, std::string>>&
            info) {
       return "tree" +
              std::string{core::to_string(std::get<0>(info.param)) ==
