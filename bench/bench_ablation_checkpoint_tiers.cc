@@ -23,9 +23,8 @@
 //
 // Writes BENCH_checkpoint.json (warm-hit rate + mean recovery per cell)
 // into $MERCURY_BENCH_DIR (default: the working directory) so CI can diff
-// the numbers PR over PR. MERCURY_TIERS_QUICK=1 shrinks the grid for CI.
+// the numbers PR over PR. MERCURY_QUICK=1 shrinks the grid for CI.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -112,10 +111,7 @@ struct CellStats {
 
 int main() {
   mercury::bench::TraceSession session("bench_ablation_checkpoint_tiers");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_TIERS_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick_mode();
   const int seeds = quick ? 5 : 25;
   const std::vector<std::string> victims = {"pbcom", "ses"};
 
@@ -244,10 +240,7 @@ int main() {
   // BENCH_*.json"). One object per grid cell; schema kept flat so CI can
   // diff with jq.
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_checkpoint.json";
+    const std::string path = mercury::bench::output_path("BENCH_checkpoint.json");
     std::ofstream out(path);
     out << "{\n  \"bench\": \"bench_ablation_checkpoint_tiers\",\n"
         << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";

@@ -34,9 +34,8 @@
 //
 // Writes BENCH_traffic.json into $MERCURY_BENCH_DIR (default: cwd) so CI
 // can diff goodput totals PR over PR and across MERCURY_JOBS values.
-// MERCURY_TRAFFIC_QUICK=1 shrinks the grid for CI smoke.
+// MERCURY_QUICK=1 shrinks the grid for CI smoke.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -162,10 +161,7 @@ std::string tree_name(MercuryTree tree) {
 
 int main() {
   mercury::bench::TraceSession session("bench_availability_traffic");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_TRAFFIC_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick_mode();
   const int seeds = quick ? 2 : 10;
   const std::vector<MercuryTree> trees = {MercuryTree::kTreeII,
                                           MercuryTree::kTreeIV};
@@ -358,10 +354,7 @@ int main() {
   // BENCH_traffic.json: flat schema so CI can diff goodput totals with jq
   // (and compare MERCURY_JOBS=2 against =1 byte for byte).
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_traffic.json";
+    const std::string path = mercury::bench::output_path("BENCH_traffic.json");
     std::ofstream out(path);
     out << "{\n  \"bench\": \"bench_availability_traffic\",\n"
         << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";

@@ -145,6 +145,20 @@ class TraceSession {
   int exit_code_ = 0;
 };
 
+/// True when MERCURY_QUICK=1: the campaign benches shrink their grids for
+/// CI smoke runs (the full grids are what EXPERIMENTS.md reports).
+inline bool quick_mode() {
+  const char* flag = std::getenv("MERCURY_QUICK");
+  return flag != nullptr && std::string(flag) == "1";
+}
+
+/// Where a bench writes its BENCH_*.json: `file` under $MERCURY_BENCH_DIR,
+/// or in the working directory when that is unset or empty.
+inline std::string output_path(const std::string& file) {
+  const char* dir = std::getenv("MERCURY_BENCH_DIR");
+  return dir != nullptr && *dir != '\0' ? std::string(dir) + "/" + file : file;
+}
+
 inline void print_header(const std::string& title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());

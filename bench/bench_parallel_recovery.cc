@@ -31,10 +31,9 @@
 //
 // Writes BENCH_parallel.json (mean/p95 recovery, peak concurrency, absorbs
 // per cell) into $MERCURY_BENCH_DIR (default: the working directory) so CI
-// can diff the numbers PR over PR. MERCURY_PARALLEL_QUICK=1 shrinks the
+// can diff the numbers PR over PR. MERCURY_QUICK=1 shrinks the
 // grid for CI.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -128,10 +127,7 @@ std::string tree_name(MercuryTree tree) {
 
 int main() {
   mercury::bench::TraceSession session("bench_parallel_recovery");
-  const bool quick = [] {
-    const char* flag = std::getenv("MERCURY_PARALLEL_QUICK");
-    return flag != nullptr && std::string(flag) == "1";
-  }();
+  const bool quick = mercury::bench::quick_mode();
   const int seeds = quick ? 5 : 25;
   const std::vector<MercuryTree> trees = {MercuryTree::kTreeII,
                                           MercuryTree::kTreeIV};
@@ -303,10 +299,7 @@ int main() {
 
   // BENCH_parallel.json: flat schema so CI can diff with jq.
   {
-    const char* dir = std::getenv("MERCURY_BENCH_DIR");
-    const std::string path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        "BENCH_parallel.json";
+    const std::string path = mercury::bench::output_path("BENCH_parallel.json");
     std::ofstream out(path);
     out << "{\n  \"bench\": \"bench_parallel_recovery\",\n"
         << "  \"seeds\": " << seeds << ",\n  \"cells\": [\n";

@@ -29,7 +29,6 @@ class Element {
   Element& operator=(Element&&) noexcept = default;
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   // --- Attributes (sorted by key for deterministic serialization; stored
   // as a flat map — receivers read message bodies on every delivery, so

@@ -11,9 +11,9 @@ namespace {
 using util::Error;
 using util::Result;
 
-// Character-class lookup tables (the codec is on the per-message hot path;
-// <cctype> calls go through the locale). Classes match the C locale exactly:
-// isalpha == [A-Za-z], isspace == [ \t\n\v\f\r].
+// Character-class lookup tables, locale-independent (<cctype> calls go
+// through the locale). Classes match the C locale exactly: isalpha ==
+// [A-Za-z], isspace == [ \t\n\v\f\r].
 struct CharTables {
   bool name_start[256] = {};
   bool name_char[256] = {};
@@ -60,9 +60,6 @@ class Parser {
  private:
   bool at_end() const { return pos_ >= input_.size(); }
   char peek() const { return input_[pos_]; }
-  char peek_at(std::size_t offset) const {
-    return pos_ + offset < input_.size() ? input_[pos_ + offset] : '\0';
-  }
   bool match(std::string_view s) const {
     return input_.substr(pos_, s.size()) == s;
   }
@@ -173,11 +170,25 @@ class Parser {
         code = code * (hex ? 16 : 10) + static_cast<unsigned long>(digit);
         if (code > 0x10FFFF) return error("character reference out of range");
       }
+      if (!is_xml_char(code)) {
+        return error("character reference '&" + entity + ";' is not an XML Char");
+      }
       append_utf8(out, static_cast<char32_t>(code));
     } else {
       return error("unknown entity '&" + entity + ";'");
     }
     return util::Status::ok_status();
+  }
+
+  // XML 1.0's Char production: #x9 | #xA | #xD | [#x20-#xD7FF] |
+  // [#xE000-#xFFFD] | [#x10000-#x10FFFF]. Anything else (NUL, other C0
+  // controls, UTF-16 surrogates, U+FFFE/U+FFFF) may not appear in a document,
+  // not even as a reference, and a surrogate would encode to ill-formed UTF-8.
+  static bool is_xml_char(unsigned long code) {
+    return code == 0x9 || code == 0xA || code == 0xD ||
+           (code >= 0x20 && code <= 0xD7FF) ||
+           (code >= 0xE000 && code <= 0xFFFD) ||
+           (code >= 0x10000 && code <= 0x10FFFF);
   }
 
   static void append_utf8(std::string& out, char32_t code) {
@@ -305,127 +316,9 @@ class Parser {
   int col_ = 1;
 };
 
-// Fast path for the common shape: the compact documents our own writer
-// emits (every msg::encode frame is one). Handles elements, attributes, and plain character data only; the
-// moment it sees anything else — a prolog, a comment, CDATA, an entity, a
-// duplicate attribute, or any malformed input — it bails and the caller
-// falls back to the full parser, which either handles the construct or
-// produces the proper line:column diagnostic. On success the resulting
-// tree is identical to the full parser's (same grammar subset, same text
-// trimming), which the differential fuzz test in tests/test_xml.cc pins.
-class FastParser {
- public:
-  explicit FastParser(std::string_view input) : input_(input) {}
-
-  /// True on success with `out` holding the root; false means "fall back".
-  bool parse_document(Element& out) {
-    skip_space();
-    if (!parse_element(out)) return false;
-    skip_space();
-    return pos_ == input_.size();
-  }
-
- private:
-  bool at_end() const { return pos_ >= input_.size(); }
-  char peek() const { return input_[pos_]; }
-
-  void skip_space() {
-    while (!at_end() && is_space(peek())) ++pos_;
-  }
-
-  bool parse_name(std::string& out) {
-    if (at_end() || !is_name_start(peek())) return false;
-    std::size_t end = pos_;
-    while (end < input_.size() && is_name_char(input_[end])) ++end;
-    out.assign(input_.substr(pos_, end - pos_));
-    pos_ = end;
-    return true;
-  }
-
-  bool parse_element(Element& out) {
-    if (at_end() || peek() != '<') return false;
-    ++pos_;
-    std::string name;
-    if (!parse_name(name)) return false;  // also rejects <!-- / <?xml / <![
-    out.set_name(std::move(name));
-
-    while (true) {
-      skip_space();
-      if (at_end()) return false;
-      if (peek() == '>' || peek() == '/') break;
-      std::string key;
-      if (!parse_name(key)) return false;
-      skip_space();
-      if (at_end() || peek() != '=') return false;
-      ++pos_;
-      skip_space();
-      if (at_end() || (peek() != '"' && peek() != '\'')) return false;
-      const char quote = peek();
-      ++pos_;
-      std::size_t end = pos_;
-      while (end < input_.size() && input_[end] != quote) {
-        // '&' needs entity decoding, '<' is an error: both are slow-path.
-        if (input_[end] == '&' || input_[end] == '<') return false;
-        ++end;
-      }
-      if (end == input_.size()) return false;
-      if (!out.add_attr(key, std::string{input_.substr(pos_, end - pos_)})) {
-        return false;  // duplicate attribute: slow path diagnoses it
-      }
-      pos_ = end + 1;
-    }
-
-    if (peek() == '/') {
-      ++pos_;
-      if (at_end() || peek() != '>') return false;
-      ++pos_;
-      return true;
-    }
-    ++pos_;  // '>'
-
-    // Content: children interleaved with character data (accumulated across
-    // child boundaries and trimmed at the end, exactly like the full parser).
-    std::string text;
-    while (true) {
-      if (at_end()) return false;
-      const char c = peek();
-      if (c == '<') {
-        if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '/') {
-          pos_ += 2;
-          std::string close;
-          if (!parse_name(close)) return false;
-          if (close != out.name()) return false;
-          skip_space();
-          if (at_end() || peek() != '>') return false;
-          ++pos_;
-          out.set_text(std::string{util::trim(text)});
-          return true;
-        }
-        Element child;
-        if (!parse_element(child)) return false;  // comments/CDATA fall back
-        out.add_child(std::move(child));
-      } else if (c == '&') {
-        return false;  // entity: slow path decodes it
-      } else {
-        std::size_t end = pos_;
-        while (end < input_.size() && input_[end] != '<' && input_[end] != '&') {
-          ++end;
-        }
-        text.append(input_.substr(pos_, end - pos_));
-        pos_ = end;
-      }
-    }
-  }
-
-  std::string_view input_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 util::Result<Element> parse(std::string_view input) {
-  Element fast;
-  if (FastParser(input).parse_document(fast)) return fast;
   return Parser(input).parse_document();
 }
 

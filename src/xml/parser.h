@@ -1,12 +1,12 @@
 // Recursive-descent parser for the XML subset used by the command language.
 //
 // Supported: elements, attributes (single- or double-quoted), character
-// data, self-closing tags, comments, an optional <?xml ...?> declaration,
-// and the five predefined entities (&lt; &gt; &amp; &apos; &quot;) plus
-// numeric character references. Unsupported (rejected with an error):
-// DTDs, CDATA is supported, processing instructions other than the
-// declaration, and namespace processing (colons are treated as ordinary
-// name characters).
+// data, CDATA sections, self-closing tags, comments, an optional <?xml ...?>
+// declaration, the five predefined entities (&lt; &gt; &amp; &apos; &quot;)
+// and numeric character references to any XML 1.0 Char. Rejected with an
+// error: DTDs, processing instructions other than the declaration, and
+// references to code points outside Char. There is no namespace processing
+// (colons are ordinary name characters).
 #pragma once
 
 #include <string_view>

@@ -95,18 +95,6 @@ void write_element(std::string& out, const Element& e, const WriteOptions& optio
 
 }  // namespace
 
-std::string escape_text(std::string_view text) {
-  std::string out;
-  append_escaped(out, text, /*attr=*/false);
-  return out;
-}
-
-std::string escape_attr(std::string_view value) {
-  std::string out;
-  append_escaped(out, value, /*attr=*/true);
-  return out;
-}
-
 void escape_attr_to(std::string& out, std::string_view value) {
   append_escaped(out, value, /*attr=*/true);
 }

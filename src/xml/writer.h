@@ -19,20 +19,14 @@ struct WriteOptions {
   bool declaration = false;
 };
 
-/// Escape character data (&, <, >).
-std::string escape_text(std::string_view text);
-
-/// Escape an attribute value (&, <, >, ").
-std::string escape_attr(std::string_view value);
-
-/// Append-style variants for hot paths (the message codec): no temporary
-/// strings, compact form only.
+/// Append-style writers for the message codec: no temporary strings,
+/// compact form only. escape_attr_to escapes &, <, > and ".
 void escape_attr_to(std::string& out, std::string_view value);
 void write_to(std::string& out, const Element& element);
 
 /// Byte counts of what the two append-style writers would emit, computed
-/// without building the output: escaped_attr_size(v) == escape_attr(v).size()
-/// and written_size(e) == write(e).size().
+/// without building the output: escaped_attr_size(v) is the number of bytes
+/// escape_attr_to(out, v) appends and written_size(e) == write(e).size().
 std::size_t escaped_attr_size(std::string_view value);
 std::size_t written_size(const Element& element);
 

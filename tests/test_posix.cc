@@ -33,6 +33,19 @@ namespace {
 
 const std::string kWorker = MERCURY_WORKER_BIN;
 
+/// Drain the child's stdout until `want` arrives or `timeout_ms` of polling
+/// passes; true when the line was seen.
+bool wait_for_line(ChildProcess& child, const std::string& want,
+                   int timeout_ms) {
+  for (int waited = 0; waited < timeout_ms; waited += 10) {
+    usleep(10'000);
+    for (const auto& line : child.read_lines()) {
+      if (line == want) return true;
+    }
+  }
+  return false;
+}
+
 // --- ChildProcess ------------------------------------------------------------
 
 TEST(ChildProcess, SpawnReadyPingPong) {
@@ -43,25 +56,9 @@ TEST(ChildProcess, SpawnReadyPingPong) {
   EXPECT_GT(child.pid(), 0);
   EXPECT_TRUE(child.running());
 
-  // Wait for READY.
-  std::string ready;
-  for (int i = 0; i < 100 && ready.empty(); ++i) {
-    usleep(10'000);
-    for (const auto& line : child.read_lines()) {
-      if (line == "READY w") ready = line;
-    }
-  }
-  EXPECT_EQ(ready, "READY w");
-
+  EXPECT_TRUE(wait_for_line(child, "READY w", 1'000));
   ASSERT_TRUE(child.write_line("PING 7"));
-  std::string pong;
-  for (int i = 0; i < 100 && pong.empty(); ++i) {
-    usleep(5'000);
-    for (const auto& line : child.read_lines()) {
-      if (line == "PONG 7") pong = line;
-    }
-  }
-  EXPECT_EQ(pong, "PONG 7");
+  EXPECT_TRUE(wait_for_line(child, "PONG 7", 500));
 }
 
 TEST(ChildProcess, KillHardReaps) {
@@ -79,7 +76,9 @@ TEST(ChildProcess, SpawnFailureReportsError) {
   if (spawned.ok()) {
     // exec fails after fork: the child exits 127 almost immediately.
     ChildProcess child = std::move(spawned).value();
-    usleep(50'000);
+    for (int waited = 0; waited < 5'000 && child.running(); waited += 10) {
+      usleep(10'000);
+    }
     EXPECT_FALSE(child.running());
   }
 }
@@ -89,8 +88,9 @@ TEST(ChildProcess, WedgedWorkerStopsAnswering) {
       ChildProcess::spawn({kWorker, "--name", "w", "--startup-ms", "10"});
   ASSERT_TRUE(spawned.ok());
   ChildProcess child = std::move(spawned).value();
-  usleep(100'000);
-  child.read_lines();  // drain READY
+  // READY must be drained before the silence check below, however long exec
+  // and startup take under load.
+  ASSERT_TRUE(wait_for_line(child, "READY w", 5'000));
   ASSERT_TRUE(child.write_line("WEDGE"));
   usleep(20'000);
   ASSERT_TRUE(child.write_line("PING 1"));
