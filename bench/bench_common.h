@@ -47,33 +47,23 @@ class TraceSession {
 
   ~TraceSession() { finish(); }
 
-  /// Loosen or tighten the invariant checks (e.g. require_resolution=false
-  /// for benches that deliberately drive trials into timeouts).
-  void set_check_options(const obs::CheckOptions& options) {
-    check_options_ = options;
-  }
-  /// Skip invariant checking entirely (trace is still written).
-  void disable_check() { check_enabled_ = false; }
-
   /// Check invariants, write the trace files and print the breakdown.
-  /// Returns 0 when the trace satisfies every invariant (or tracing /
-  /// checking is off), 1 otherwise. Idempotent: the first call does the
-  /// work, later calls (including the destructor's) return the same code.
+  /// Returns 0 when the trace satisfies every invariant (or tracing is
+  /// off), 1 otherwise. Idempotent: the first call does the work, later
+  /// calls (including the destructor's) return the same code.
   int finish() {
     if (finished_) return exit_code_;
     finished_ = true;
     if (recorder_ == nullptr) return 0;
     obs::set_recorder(nullptr);
 
-    if (check_enabled_) {
-      const std::vector<obs::TraceIssue> issues =
-          obs::check_trace(recorder_->events(), check_options_);
-      if (!issues.empty()) {
-        exit_code_ = 1;
-        std::fprintf(stderr,
-                     "\n--- TRACE INVARIANT VIOLATIONS (%zu) ------------------\n%s",
-                     issues.size(), obs::describe(issues).c_str());
-      }
+    const std::vector<obs::TraceIssue> issues =
+        obs::check_trace(recorder_->events());
+    if (!issues.empty()) {
+      exit_code_ = 1;
+      std::fprintf(stderr,
+                   "\n--- TRACE INVARIANT VIOLATIONS (%zu) ------------------\n%s",
+                   issues.size(), obs::describe(issues).c_str());
     }
 
     const char* dir = std::getenv("MERCURY_TRACE_DIR");
@@ -114,7 +104,7 @@ class TraceSession {
       std::printf("note: %llu events dropped at the recorder cap\n",
                   static_cast<unsigned long long>(recorder_->dropped()));
     }
-    if (check_enabled_ && exit_code_ == 0) {
+    if (exit_code_ == 0) {
       std::printf("trace invariants: OK (%zu events checked)\n",
                   recorder_->events().size());
     }
@@ -139,8 +129,6 @@ class TraceSession {
  private:
   std::string name_;
   std::unique_ptr<obs::TraceRecorder> recorder_;
-  obs::CheckOptions check_options_;
-  bool check_enabled_ = true;
   bool finished_ = false;
   int exit_code_ = 0;
 };

@@ -11,8 +11,9 @@
 // load balancer, two app servers sharing a session store, a database —
 // with a ProcessControl implemented right here against the event kernel,
 // no station code involved. A failure storm then shows per-tier recovery,
-// escalation on a session-corruption failure that needs app+session cured
-// together, and the §4 transformations applied live to fix the tree.
+// a session-corruption failure that needs app+session cured together, and
+// the §4 transformations shaping the tree. Each incident is then explained
+// from the recovery trace (obs::recovery_phases).
 #include <cstdio>
 #include <map>
 
@@ -21,8 +22,9 @@
 #include "core/oracle.h"
 #include "core/process_control.h"
 #include "core/recoverer.h"
-#include "core/timeline.h"
 #include "core/transformations.h"
+#include "obs/phases.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "util/log.h"
 
@@ -78,6 +80,9 @@ int main() {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
   util::Logger::instance().set_level(util::LogLevel::kOff);
 
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scoped(recorder);
+
   sim::Simulator sim(/*seed=*/99);
   core::FailureBoard board;
   ClusterProcessControl cluster(sim, board);
@@ -100,15 +105,16 @@ int main() {
   core::PerfectOracle oracle(board);
   core::Recoverer rec(sim, link, tree, oracle, cluster, core::RecConfig{});
   rec.start();
-  core::RecoveryTimeline timeline;
-  timeline.observe(board);
 
   // Failure reports come straight from the board here (the example skips a
-  // ping-based FD: any detector that names the failed component works).
+  // ping-based FD: any detector that names the failed component works). The
+  // report is traced like FD's, so the trace shows the detection phase.
   const double detection_latency = 0.5;
   board.add_inject_listener([&](const core::ActiveFailure& failure) {
     const std::string component = failure.spec.manifest;
     sim.schedule_after(Duration::seconds(detection_latency), "detect", [&, component] {
+      obs::instant(sim.now(), "detect", "fd.report", "fd",
+                   {{"component", component}});
       msg::Message report = msg::make_command("fd", "rec", 1, "report-failure");
       report.body.set_attr("component", component);
       link.send(report);
@@ -138,8 +144,19 @@ int main() {
   board.inject(core::make_crash("db"), sim.now());
   recover_and_report("db crash (20 s tier, nothing else dragged in)");
 
-  timeline.ingest(rec, rec.tree());
-  std::printf("\nIncident log:\n%s", timeline.render_listing().c_str());
+  std::printf("\nIncident log, from the trace:\n");
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.category != "fault") continue;
+    std::printf("  [%7.3fs] %-14s %s (%s)\n", event.t, event.name.c_str(),
+                event.arg_or("manifest").c_str(), event.arg_or("kind").c_str());
+  }
+  for (const obs::RecoveryPhases& row : obs::recovery_phases(recorder.events())) {
+    std::printf("  recovery of %s by cell %s (escalation %d): detect %.3f s + "
+                "decide %.3f s + execute %.3f s = %.3f s\n",
+                row.component.c_str(), row.cell.c_str(), row.escalation_level,
+                row.detection(), row.decision(), row.execution(),
+                row.end_to_end());
+  }
   std::printf("\nThe point: none of this code touched the Mercury station —\n"
               "the tree algebra, oracle, and recoverer are substrate-free.\n"
               "Your system only supplies a ProcessControl and a failure\n"

@@ -7,11 +7,14 @@
 // consults the restart tree (tree IV: ses and str share a consolidated
 // cell, §4.3) and restarts both in parallel; the pair resynchronizes and
 // the station reports functional ~6 seconds after the kill — versus ~25 s
-// for the monolithic tree I.
+// for the monolithic tree I. The incident is then explained from its trace:
+// the fault instants and the detection/decision/execution split of each
+// recovery action (obs::recovery_phases).
 #include <cstdio>
 
 #include "core/mercury_trees.h"
-#include "core/timeline.h"
+#include "obs/phases.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "station/experiment.h"
 #include "util/log.h"
@@ -26,6 +29,10 @@ int main() {
   // Verbose logging so the recovery sequence is visible.
   util::Logger::instance().set_level(util::LogLevel::kInfo);
 
+  // Every stage of the recovery path emits into the installed recorder.
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scoped(recorder);
+
   sim::Simulator sim(/*seed=*/2024);
 
   station::TrialSpec spec;
@@ -35,9 +42,6 @@ int main() {
 
   std::printf("Restart tree (tree IV of the paper):\n%s\n",
               rig.rec().tree().render().c_str());
-
-  core::RecoveryTimeline timeline;
-  timeline.observe(rig.station().board());
 
   rig.start();
   sim.run_for(util::Duration::seconds(5.0));
@@ -57,19 +61,19 @@ int main() {
   std::printf(">>> recovery actions taken: %llu, escalations: %llu\n",
               static_cast<unsigned long long>(rig.rec().restarts_executed()),
               static_cast<unsigned long long>(rig.rec().escalations()));
-  for (const auto& record : rig.rec().history()) {
-    std::printf("    restarted cell %s for reported failure of %s\n",
-                rig.rec().tree().cell(record.node).label.c_str(),
-                record.reported_component.c_str());
-  }
 
-  timeline.ingest(rig.rec(), rig.rec().tree());
-  std::printf("\nIncident timeline:\n%s", timeline.render_listing().c_str());
-  std::printf("\nAvailability strip (%.0fs window around the incident):\n%s",
-              (sim.now() - injected).to_seconds() + 4.0,
-              timeline
-                  .render_gantt(injected - util::Duration::seconds(2.0),
-                                sim.now() + util::Duration::seconds(2.0), 64)
-                  .c_str());
+  std::printf("\nIncident, from the trace:\n");
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.category != "fault") continue;
+    std::printf("  [%8.3fs] %-14s %s (%s)\n", event.t, event.name.c_str(),
+                event.arg_or("manifest").c_str(), event.arg_or("kind").c_str());
+  }
+  for (const obs::RecoveryPhases& row : obs::recovery_phases(recorder.events())) {
+    std::printf("  recovery of %s by cell %s (escalation %d): detect %.3f s + "
+                "decide %.3f s + execute %.3f s = %.3f s\n",
+                row.component.c_str(), row.cell.c_str(), row.escalation_level,
+                row.detection(), row.decision(), row.execution(),
+                row.end_to_end());
+  }
   return 0;
 }

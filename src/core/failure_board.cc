@@ -89,10 +89,7 @@ void FailureBoard::on_restart_complete(const std::string& component,
                                [](const ActiveFailure& f) { return f.cured(); }),
                 active_.end());
   total_cured_ += cured.size();
-  for (const auto& failure : cured) {
-    trace_cured(failure, now);
-    for (const auto& listener : cure_listeners_) listener(failure, now);
-  }
+  for (const auto& failure : cured) trace_cured(failure, now);
 }
 
 void FailureBoard::on_soft_recovery_complete(const std::string& component,
@@ -111,10 +108,7 @@ void FailureBoard::on_soft_recovery_complete(const std::string& component,
                                }),
                 active_.end());
   total_cured_ += cured.size();
-  for (const auto& failure : cured) {
-    trace_cured(failure, now);
-    for (const auto& listener : cure_listeners_) listener(failure, now);
-  }
+  for (const auto& failure : cured) trace_cured(failure, now);
 }
 
 bool FailureBoard::manifests_at(const std::string& component) const {
@@ -169,10 +163,6 @@ void FailureBoard::note_restart_crash(const std::string& component,
   obs::instant(now, "restart", "restart.crash", "board",
                {{"component", component}});
   obs::incr("restart.crashes");
-}
-
-void FailureBoard::add_cure_listener(CureListener listener) {
-  cure_listeners_.push_back(std::move(listener));
 }
 
 void FailureBoard::add_inject_listener(InjectListener listener) {

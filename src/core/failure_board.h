@@ -24,14 +24,13 @@ namespace mercury::core {
 
 class FailureBoard {
  public:
-  using CureListener = std::function<void(const ActiveFailure&, util::TimePoint)>;
   using InjectListener = std::function<void(const ActiveFailure&)>;
 
   /// Activate a failure; returns its id.
   FailureId inject(FailureSpec spec, util::TimePoint now);
 
   /// Record that `component` completed a restart; cures any failure whose
-  /// cure set is now fully restarted. Fires cure listeners.
+  /// cure set is now fully restarted (each cure is traced as fault.cured).
   void on_restart_complete(const std::string& component, util::TimePoint now);
 
   /// Record that `component` completed its soft recovery procedure; cures
@@ -50,10 +49,9 @@ class FailureBoard {
   bool any_active() const { return !active_.empty(); }
 
   /// Forcibly clear a failure (used by tests); returns false if unknown.
-  /// Does NOT fire cure listeners: the failure was removed, not cured.
+  /// Not a cure: nothing is traced and total_cured() does not move.
   bool clear(FailureId id);
 
-  void add_cure_listener(CureListener listener);
   void add_inject_listener(InjectListener listener);
 
   std::uint64_t total_injected() const { return next_id_ - 1; }
@@ -85,7 +83,6 @@ class FailureBoard {
 
  private:
   std::vector<ActiveFailure> active_;
-  std::vector<CureListener> cure_listeners_;
   std::vector<InjectListener> inject_listeners_;
   std::map<std::string, RestartFaultSpec> restart_faults_;
   FailureId next_id_ = 1;

@@ -45,7 +45,6 @@ void ExperimentRunner::run(std::size_t trials,
   obs::TraceRecorder* ambient = obs::recorder();
   const bool capture = ambient != nullptr;
 
-  const SeedStream seeds(config_.master_seed);
   std::vector<std::unique_ptr<obs::TraceRecorder>> captures(
       capture ? trials : 0);
   std::vector<std::exception_ptr> errors(trials);
@@ -53,8 +52,6 @@ void ExperimentRunner::run(std::size_t trials,
   const auto run_one = [&](std::size_t index) {
     TrialContext ctx;
     ctx.index = index;
-    ctx.seed = config_.master_seed != 0 ? seeds.trial_seed(index)
-                                        : static_cast<std::uint64_t>(index);
     try {
       if (capture) {
         auto recorder = std::make_unique<obs::TraceRecorder>();

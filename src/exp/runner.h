@@ -29,13 +29,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "exp/seed_stream.h"
 #include "obs/trace.h"
 
 namespace mercury::exp {
@@ -45,10 +43,6 @@ namespace mercury::exp {
 struct TrialContext {
   /// Trial number in submission order; results are aggregated by it.
   std::size_t index = 0;
-  /// SeedStream-derived seed for this trial (see RunnerConfig::master_seed);
-  /// equals `index` when no master seed is configured and the caller's
-  /// per-trial inputs carry their own seeds.
-  std::uint64_t seed = 0;
   /// This trial's private recorder, or nullptr when no ambient recorder is
   /// installed on the launching thread (nothing to merge into). Safe to
   /// inspect inside the body: events of this trial only.
@@ -58,9 +52,6 @@ struct TrialContext {
 struct RunnerConfig {
   /// Worker threads; 0 = $MERCURY_JOBS, else hardware concurrency.
   int jobs = 0;
-  /// Derive ctx.seed = SeedStream(master_seed).trial_seed(index) when
-  /// nonzero; otherwise ctx.seed = index.
-  std::uint64_t master_seed = 0;
 };
 
 /// Positive value of $MERCURY_JOBS, or 0 when unset/invalid.

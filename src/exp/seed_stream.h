@@ -17,8 +17,9 @@
 // The legacy benches keep their published `base + i` seed grids (the
 // numbers in EXPERIMENTS.md are pinned to them); util::Rng already applies
 // SplitMix64 when seeding xoshiro, so those remain well-distributed.
-// SeedStream is the scheme for new sweeps and for the ExperimentRunner's
-// derived-seed mode.
+// SeedStream is the scheme for new sweeps (the workload driver's per-session
+// seeds, the perf harness's sweep cells); a trial's seed travels in its own
+// inputs, never through the ExperimentRunner.
 #pragma once
 
 #include <cstdint>

@@ -66,7 +66,6 @@ std::string_view to_string(EventKind kind) {
     case EventKind::kInstant: return "i";
     case EventKind::kBegin: return "B";
     case EventKind::kEnd: return "E";
-    case EventKind::kCounter: return "C";
   }
   return "?";
 }
@@ -209,19 +208,6 @@ void TraceRecorder::end(double t, std::uint64_t span,
   event.run = run_;
   event.args = std::move(args);
   open_spans_.erase(it);
-  push(std::move(event));
-}
-
-void TraceRecorder::counter(double t, std::string name, double value,
-                            std::string track) {
-  TraceEvent event;
-  event.t = t;
-  event.kind = EventKind::kCounter;
-  event.category = "metric";
-  event.name = std::move(name);
-  event.track = std::move(track);
-  event.run = run_;
-  event.args = {{"value", json_number(value)}};
   push(std::move(event));
 }
 
@@ -369,15 +355,8 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
         << ",\"tid\":" << it->second << ",\"cat\":\"" << json_escape(event.category)
         << "\",\"name\":\"" << json_escape(event.name) << "\"";
     if (event.kind == EventKind::kInstant) out << ",\"s\":\"t\"";
-    if (event.kind == EventKind::kCounter) {
-      // Counter events carry their value in args; Chrome wants it numeric.
-      out << ",\"args\":{\"value\":" << event.arg_or("value", "0") << "}";
-    } else {
-      out << ",\"args\":";
-      std::ostringstream args;
-      write_args_object(args, event.args);
-      out << args.str();
-    }
+    out << ",\"args\":";
+    write_args_object(out, event.args);
     out << "}";
   }
   out << "]}\n";
@@ -522,7 +501,6 @@ bool parse_event(std::string_view line, TraceEvent& event) {
       if (ph == "i") event.kind = EventKind::kInstant;
       else if (ph == "B") event.kind = EventKind::kBegin;
       else if (ph == "E") event.kind = EventKind::kEnd;
-      else if (ph == "C") event.kind = EventKind::kCounter;
       else return false;
     } else if (key == "cat" || key == "name" || key == "track") {
       std::string value;

@@ -40,7 +40,6 @@ enum class EventKind {
   kInstant,  ///< point event ("ph":"i")
   kBegin,    ///< span open ("ph":"B"); paired with kEnd by `span`
   kEnd,      ///< span close ("ph":"E")
-  kCounter,  ///< sampled numeric value ("ph":"C")
 };
 
 std::string_view to_string(EventKind kind);
@@ -150,7 +149,6 @@ class TraceRecorder {
   /// the matching begin. Unknown ids are dropped (the begin may have been
   /// evicted by the event cap).
   void end(double t, std::uint64_t span, std::vector<TraceArg> args = {});
-  void counter(double t, std::string name, double value, std::string track);
 
   // --- Aggregate metrics -------------------------------------------------
   void incr(const std::string& name, std::uint64_t delta = 1);

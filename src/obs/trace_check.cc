@@ -15,6 +15,11 @@ namespace mercury::obs {
 
 namespace {
 
+/// phase-sum tolerance: relative to the measured recovery, with an absolute
+/// floor for near-zero recoveries. Fixed, so every bench checks alike.
+constexpr double kPhaseTolerance = 0.01;
+constexpr double kPhaseSlackSeconds = 1e-6;
+
 bool parse_double(const std::string& text, double& out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
@@ -102,8 +107,7 @@ struct RunFacts {
 /// Shared body of both check_trace overloads; `Range` is any forward range
 /// of TraceEvent (flat vector or chunked EventBuffer).
 template <typename Range>
-std::vector<TraceIssue> check_trace_impl(const Range& events,
-                                         const CheckOptions& options) {
+std::vector<TraceIssue> check_trace_impl(const Range& events) {
   std::vector<TraceIssue> issues;
   const auto flag = [&](std::string invariant, std::uint64_t run,
                         std::string component, double t, std::string detail) {
@@ -272,8 +276,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
     const bool resolved =
         facts.has_recovered || facts.has_parked || facts.has_hard_failure;
-    if (!resolved && facts.first_manifest_t.has_value() &&
-        options.require_resolution) {
+    if (!resolved && facts.first_manifest_t.has_value()) {
       flag("lost-kill", run, runs.at(run).open_faults.empty()
                                  ? std::string()
                                  : runs.at(run).open_faults.begin()->second.first,
@@ -297,7 +300,7 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
     const double measured = *facts.reported_recovery;
     const double slack =
-        std::max(options.phase_slack_seconds, options.phase_tolerance * measured);
+        std::max(kPhaseSlackSeconds, kPhaseTolerance * measured);
 
     // Actions completing after the recovered instant are post-recovery work
     // (planned rejuvenation in the trial's settle window), not part of the
@@ -337,14 +340,12 @@ std::vector<TraceIssue> check_trace_impl(const Range& events,
 
 }  // namespace
 
-std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events,
-                                    const CheckOptions& options) {
-  return check_trace_impl(events, options);
+std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events) {
+  return check_trace_impl(events);
 }
 
-std::vector<TraceIssue> check_trace(const EventBuffer& events,
-                                    const CheckOptions& options) {
-  return check_trace_impl(events, options);
+std::vector<TraceIssue> check_trace(const EventBuffer& events) {
+  return check_trace_impl(events);
 }
 
 std::string describe(const std::vector<TraceIssue>& issues) {

@@ -19,7 +19,8 @@
 //                        end-to-end recovery: the recovery chain spans
 //                        [first fault.manifest, last action complete] and
 //                        that interval equals the harness's reported
-//                        recovery within tolerance; single-action trials
+//                        recovery within a fixed tolerance (1%, at least
+//                        1 us); single-action trials
 //                        additionally check detection+decision+execution
 //                        against it directly (bench_table1's assertion,
 //                        generalized).
@@ -65,16 +66,6 @@
 
 namespace mercury::obs {
 
-struct CheckOptions {
-  /// Relative tolerance for phase-sum checks (|err| / measured).
-  double phase_tolerance = 0.01;
-  /// Absolute slack floor, for near-zero recoveries.
-  double phase_slack_seconds = 1e-6;
-  /// Require every harness trial to end recovered-or-parked. Benches that
-  /// deliberately drive trials into timeouts may turn this off.
-  bool require_resolution = true;
-};
-
 struct TraceIssue {
   std::string invariant;  ///< "overlapping-restart" | "epoch-regression" |
                           ///< "phase-sum" | "lost-kill" | "open-restart" |
@@ -88,10 +79,8 @@ struct TraceIssue {
 /// Validate `events` (in emission order, as recorded or re-read from
 /// JSONL). Returns every violation found; empty means the trace is clean.
 /// The EventBuffer overload checks a live recorder's chunked log in place.
-std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events,
-                                    const CheckOptions& options = {});
-std::vector<TraceIssue> check_trace(const EventBuffer& events,
-                                    const CheckOptions& options = {});
+std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events);
+std::vector<TraceIssue> check_trace(const EventBuffer& events);
 
 /// One line per issue, for bench/test output.
 std::string describe(const std::vector<TraceIssue>& issues);

@@ -23,11 +23,6 @@
 //
 // Restart-time faults (ISSUE 2: the restart path is itself a fault domain):
 //
-// --fail-start-prob P: with probability P (seeded from pid ^ time, so each
-// incarnation draws independently), exit(1) after the startup delay instead
-// of reporting READY — a crash-during-startup the supervisor only sees as a
-// missing READY.
-//
 // --hang-start-once FILE: if FILE does not exist, create it and hang forever
 // before READY (the deterministic first-attempt hang); if it exists, start
 // normally. Lets a test observe exactly one startup timeout, then recovery.
@@ -63,7 +58,6 @@ struct Options {
   long startup_ms = 100;
   long wedge_after = -1;  // pongs answered before self-wedging; -1 = never
   double leak_mb_per_min = 0.0;
-  double fail_start_prob = 0.0;  // crash (exit 1) before READY with this prob
   std::string hang_start_once;   // sentinel path; hang before READY if absent
   std::string checkpoint_file;   // state file enabling warm restarts
   long warm_startup_ms = -1;     // warm delay; -1 = startup_ms / 4
@@ -89,8 +83,6 @@ Options parse(int argc, char** argv) {
       options.wedge_after = std::strtol(argv[++i], nullptr, 10);
     } else if (arg == "--leak-mb-per-min" && has_value) {
       options.leak_mb_per_min = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--fail-start-prob" && has_value) {
-      options.fail_start_prob = std::strtod(argv[++i], nullptr);
     } else if (arg == "--hang-start-once" && has_value) {
       options.hang_start_once = argv[++i];
     } else if (arg == "--checkpoint-file" && has_value) {
@@ -146,17 +138,6 @@ int main(int argc, char** argv) {
     }
   }
   usleep(static_cast<useconds_t>(startup_ms) * 1000);
-
-  // Probabilistic startup crash: die after the startup work, before READY.
-  if (options.fail_start_prob > 0.0) {
-    std::srand(static_cast<unsigned>(getpid()) ^
-               static_cast<unsigned>(now_seconds() * 1e6));
-    if (static_cast<double>(std::rand()) / RAND_MAX < options.fail_start_prob) {
-      std::fprintf(stderr, "worker %s: crashing during startup (injected)\n",
-                   options.name.c_str());
-      return 1;
-    }
-  }
 
   const double started = now_seconds();
   std::printf("READY %s\n", options.name.c_str());

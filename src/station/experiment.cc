@@ -121,7 +121,6 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
   rec_config.enable_soft_recovery = spec.enable_soft_recovery;
   rec_config.dispatch = spec.dispatch;
   rec_config.traffic_driven = spec.traffic_driven;
-  rec_config.lazy_drain_interval = spec.lazy_drain_interval;
   if (spec.harden_restart_path) {
     rec_config.restart_deadline =
         hardened_restart_deadline(spec.cal, station_->component_names());
@@ -155,9 +154,6 @@ MercuryRig::MercuryRig(sim::Simulator& sim, const TrialSpec& spec)
     wl.command_sessions = spec.traffic.command_sessions;
     wl.telemetry_sessions = spec.traffic.telemetry_sessions;
     wl.mean_interarrival = spec.traffic.mean_interarrival;
-    wl.request_timeout = spec.traffic.request_timeout;
-    wl.retry_backoff = spec.traffic.retry_backoff;
-    wl.max_attempts = spec.traffic.max_attempts;
     wl.seed = spec.seed;
     wl.trace_requests = spec.traffic.trace_requests;
     wl.mode_label = spec.traffic_driven &&
@@ -337,8 +333,8 @@ TrialResult run_trial(const TrialSpec& spec) {
   }
 
   // Stop issuing new requests at measurement end; the settle window below
-  // (3.5 s) covers the in-flight drain (at most max_attempts retry rounds,
-  // ~2 s at defaults), so issued == served + lost holds exactly.
+  // (3.5 s) covers the in-flight drain (at most four retry rounds, ~2 s),
+  // so issued == served + lost holds exactly.
   if (rig.workload() != nullptr) rig.workload()->quiesce();
 
   // Let the recoverer's post-recovery bookkeeping (the oracle's positive

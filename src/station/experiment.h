@@ -146,9 +146,6 @@ struct TrialSpec {
     int command_sessions = 8;
     int telemetry_sessions = 4;
     util::Duration mean_interarrival = util::Duration::millis(200.0);
-    util::Duration request_timeout = util::Duration::millis(400.0);
-    util::Duration retry_backoff = util::Duration::millis(100.0);
-    int max_attempts = 4;
     /// Emit per-request "traffic.request" spans (checker-gated trials).
     bool trace_requests = false;
     /// Keep the deterministic per-request outcome log on the result
@@ -159,9 +156,9 @@ struct TrialSpec {
   /// Traffic-driven on-demand recovery (requires dispatch == kOnDemand):
   /// after the minimal phase restores the serving core, remaining cells
   /// restart lazily — a client request touching a queued cell promotes its
-  /// restart to the DAG front; untouched cells drain in the background.
+  /// restart to the DAG front; untouched cells drain in the background, one
+  /// per RecConfig::lazy_drain_interval.
   bool traffic_driven = false;
-  util::Duration lazy_drain_interval = util::Duration::millis(500.0);
 };
 
 /// Deadline for one restart action under hardening: the calibration's worst

@@ -12,6 +12,17 @@ namespace mercury::workload {
 
 using util::Duration;
 
+namespace {
+
+/// Per-attempt response deadline (crashed components are fail-silent).
+constexpr Duration kRequestTimeout = Duration::millis(400.0);
+/// Delay before a retry (after a timeout or a "restarting" nack).
+constexpr Duration kRetryBackoff = Duration::millis(100.0);
+/// Send attempts per request before it resolves as lost.
+constexpr int kMaxAttempts = 4;
+
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(sim::Simulator& sim, bus::MessageBus& bus,
                                std::vector<std::string> command_targets,
                                std::vector<std::string> telemetry_targets,
@@ -112,7 +123,7 @@ void WorkloadDriver::send_attempt(Request request) {
   const std::uint64_t seq = next_seq_++;
   ++request.attempts;
   request.timeout_event = sim_.schedule_after(
-      config_.request_timeout, sim::Label::suffixed(session.name, ".timeout"),
+      kRequestTimeout, sim::Label::suffixed(session.name, ".timeout"),
       [this, seq] { on_timeout(seq); });
   bus_.send(msg::make_ping(session.name, session.target, seq));
   in_flight_.emplace(seq, std::move(request));
@@ -162,13 +173,13 @@ void WorkloadDriver::on_timeout(std::uint64_t seq) {
 
 void WorkloadDriver::retry_or_lose(Request request,
                                    const std::string& lost_detail) {
-  if (request.attempts >= config_.max_attempts) {
+  if (request.attempts >= kMaxAttempts) {
     resolve(std::move(request), /*served=*/false, lost_detail);
     return;
   }
   const sim::Label label =
       sim::Label::suffixed(sessions_[request.session].name, ".retry");
-  sim_.schedule_after(config_.retry_backoff, label,
+  sim_.schedule_after(kRetryBackoff, label,
                       [this, request = std::move(request)]() mutable {
                         send_attempt(std::move(request));
                       });

@@ -15,7 +15,6 @@
 
 #include "core/mercury_trees.h"
 #include "exp/runner.h"
-#include "exp/seed_stream.h"
 #include "obs/trace.h"
 #include "station/experiment.h"
 
@@ -80,23 +79,6 @@ TEST(ExperimentRunner, MapReturnsResultsInIndexOrder) {
   ASSERT_EQ(doubled.size(), 100u);
   for (std::size_t i = 0; i < doubled.size(); ++i) {
     EXPECT_EQ(doubled[i], i * 2);
-  }
-}
-
-TEST(ExperimentRunner, SeedsFollowTheConfiguredStream) {
-  ExperimentRunner derived(RunnerConfig{.jobs = 4, .master_seed = 42});
-  const SeedStream stream(42);
-  const auto seeds =
-      derived.map(32, [](TrialContext& ctx) { return ctx.seed; });
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(seeds[i], stream.trial_seed(i));
-  }
-
-  ExperimentRunner plain(RunnerConfig{.jobs = 4});
-  const auto indices =
-      plain.map(8, [](TrialContext& ctx) { return ctx.seed; });
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(indices[i], i);
   }
 }
 

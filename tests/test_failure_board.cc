@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/failure_board.h"
+#include "obs/trace.h"
 
 namespace mercury::core {
 namespace {
@@ -9,6 +10,15 @@ namespace {
 using util::TimePoint;
 
 TimePoint at(double seconds) { return TimePoint::from_seconds(seconds); }
+
+/// The fault.cured instants the board traced.
+std::vector<const obs::TraceEvent*> cured_events(const obs::TraceRecorder& rec) {
+  std::vector<const obs::TraceEvent*> out;
+  for (const obs::TraceEvent& event : rec.events()) {
+    if (event.name == "fault.cured") out.push_back(&event);
+  }
+  return out;
+}
 
 TEST(FailureSpecs, CrashAndJointConstructors) {
   const FailureSpec crash = make_crash("ses");
@@ -98,21 +108,22 @@ TEST(FailureBoard, TwoFailuresSameComponentCureTogether) {
 }
 
 TEST(FailureBoard, ListenersFire) {
+  // Inject listeners fire on inject; a cure is recorded in the counters and
+  // in the trace (the fault.cured instant), not through a callback.
   FailureBoard board;
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scoped(recorder);
   int injected = 0;
-  int cured = 0;
-  TimePoint cure_time;
   board.add_inject_listener([&](const ActiveFailure&) { ++injected; });
-  board.add_cure_listener([&](const ActiveFailure& failure, TimePoint now) {
-    ++cured;
-    cure_time = now;
-    EXPECT_EQ(failure.spec.manifest, "ses");
-  });
   board.inject(make_crash("ses"), at(0.0));
   EXPECT_EQ(injected, 1);
   board.on_restart_complete("ses", at(7.0));
-  EXPECT_EQ(cured, 1);
-  EXPECT_EQ(cure_time, at(7.0));
+  EXPECT_EQ(board.total_cured(), 1u);
+  EXPECT_FALSE(board.manifests_at("ses"));
+  const std::vector<const obs::TraceEvent*> cures = cured_events(recorder);
+  ASSERT_EQ(cures.size(), 1u);
+  EXPECT_EQ(cures[0]->t, 7.0);
+  EXPECT_EQ(cures[0]->arg_or("manifest"), "ses");
 }
 
 TEST(FailureBoard, ClearRemovesById) {
@@ -125,26 +136,30 @@ TEST(FailureBoard, ClearRemovesById) {
 
 TEST(FailureBoard, ClearDoesNotFireListenersOrCountAsCured) {
   // clear() forcibly removes a failure (operator/test intervention); it was
-  // removed, not cured, so cure listeners must stay silent — a listener
-  // treating it as a cure would credit recovery machinery that never ran.
+  // removed, not cured, so no cure may be counted or traced — a cure record
+  // would credit recovery machinery that never ran.
   FailureBoard board;
-  int cures = 0;
+  obs::TraceRecorder recorder;
+  obs::ScopedRecorder scoped(recorder);
   int injects = 0;
-  board.add_cure_listener([&](const ActiveFailure&, util::TimePoint) { ++cures; });
   board.add_inject_listener([&](const ActiveFailure&) { ++injects; });
 
   const FailureId id = board.inject(make_crash("ses"), at(0.0));
   EXPECT_EQ(injects, 1);
   EXPECT_TRUE(board.clear(id));
-  EXPECT_EQ(cures, 0);
+  EXPECT_TRUE(cured_events(recorder).empty());
   EXPECT_EQ(board.total_cured(), 0u);
   EXPECT_FALSE(board.any_active());
+  EXPECT_FALSE(board.manifests_at("ses"));
 
-  // A real cure afterwards still fires: clear() removed one failure, not
-  // the listener wiring.
+  // A real cure afterwards still counts: clear() removed one failure, not
+  // the cure rule.
   board.inject(make_crash("ses"), at(1.0));
+  EXPECT_TRUE(board.manifests_at("ses"));
   board.on_restart_complete("ses", at(2.0));
-  EXPECT_EQ(cures, 1);
+  EXPECT_EQ(cured_events(recorder).size(), 1u);
+  EXPECT_EQ(board.total_cured(), 1u);
+  EXPECT_FALSE(board.manifests_at("ses"));
   EXPECT_EQ(injects, 2);
 }
 

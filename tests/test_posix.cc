@@ -123,6 +123,16 @@ SupervisorConfig quick_config() {
   return config;
 }
 
+/// quick_config() for tests asserting that a healthy worker is never
+/// reported failed. One pong later than ping_timeout is a failure report,
+/// and a loaded host (a parallel build sharing the cores) can delay a
+/// healthy worker's reply past 50 ms; a 1 s timeout tolerates that delay.
+SupervisorConfig patient_config() {
+  SupervisorConfig config = quick_config();
+  config.ping_timeout = Millis{1000};
+  return config;
+}
+
 core::RestartTree pair_and_leaf_tree() {
   core::RestartTree tree("R_demo");
   const auto pair = tree.add_cell(tree.root(), "R_[a,b]");
@@ -137,10 +147,13 @@ TEST(PosixSupervisor, StartAllBecomesReady) {
   PosixSupervisor supervisor(
       pair_and_leaf_tree(),
       {quick_worker("a", 50), quick_worker("b", 60), quick_worker("c", 70)},
-      quick_config());
+      patient_config());
   ASSERT_TRUE(supervisor.start_all().ok());
   EXPECT_TRUE(supervisor.all_up());
-  supervisor.run_for(Millis{300});
+  // Three workers pinged every 60 ms pass 6 pongs in ~180 ms; the deadline
+  // only bounds how long a loaded host may take.
+  EXPECT_TRUE(supervisor.run_until(
+      [&] { return supervisor.pongs_received() > 6u; }, Millis{5000}));
   EXPECT_GT(supervisor.pongs_received(), 6u);
   EXPECT_TRUE(supervisor.history().empty());  // no failures yet
 }
@@ -284,7 +297,7 @@ TEST(PosixSupervisor, HealthBeaconsDriveProactiveRejuvenation) {
   leaky.name = "leaky";
   leaky.argv = {kWorker, "--name", "leaky", "--startup-ms", "30",
                 "--leak-mb-per-min", "600"};
-  SupervisorConfig config = quick_config();
+  SupervisorConfig config = patient_config();
   config.memory_limit_mb = 70.0;
   PosixSupervisor supervisor(tree, {quick_worker("a", 30), leaky}, config);
   ASSERT_TRUE(supervisor.start_all().ok());

@@ -1,5 +1,5 @@
-// SeedStream (src/exp/seed_stream.h): the parallel runner's per-trial seed
-// derivation. Distinctness is exact by construction (odd gamma => injective
+// SeedStream (src/exp/seed_stream.h): per-trial seed derivation for
+// parallel sweeps. Distinctness is exact by construction (odd gamma => injective
 // pre-mix, SplitMix64 finalizer bijective); independence of the derived Rng
 // streams is checked empirically via cross-correlation.
 #include <gtest/gtest.h>

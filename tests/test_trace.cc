@@ -21,15 +21,15 @@ TEST(TraceRecorder, RecordsEventsInEmissionOrder) {
   TraceRecorder rec;
   rec.instant(1.0, "fault", "fault.manifest", "board", {{"manifest", "ses"}});
   rec.instant(2.0, "detect", "fd.report", "fd", {{"component", "ses"}});
-  rec.counter(2.5, "active", 3.0, "board");
+  rec.instant(2.5, "oracle", "oracle.choice", "oracle", {{"cell", "R_ses"}});
 
   ASSERT_EQ(rec.events().size(), 3u);
   EXPECT_EQ(rec.events()[0].name, "fault.manifest");
   EXPECT_EQ(rec.events()[0].kind, EventKind::kInstant);
   EXPECT_EQ(rec.events()[0].arg_or("manifest"), "ses");
   EXPECT_EQ(rec.events()[1].name, "fd.report");
-  EXPECT_EQ(rec.events()[2].kind, EventKind::kCounter);
-  EXPECT_EQ(rec.events()[2].arg_or("value"), "3");
+  EXPECT_EQ(rec.events()[2].name, "oracle.choice");
+  EXPECT_EQ(rec.events()[2].arg_or("cell"), "R_ses");
 }
 
 TEST(TraceRecorder, SpansNestAndReplayMetadataOnEnd) {
@@ -184,7 +184,7 @@ TEST(TraceExport, JsonlRoundTripReproducesEvents) {
   const auto span = rec.begin(1.0, "recover", "rec.restart", "rec",
                               {{"cell", "R_[ses,str]"}, {"escalation", "0"}});
   rec.next_run();
-  rec.counter(1.5, "active", 2.0, "board");
+  rec.instant(1.5, "detect", "fd.report", "fd", {{"component", "str"}});
   rec.end(2.0, span, {{"outcome", "cured"}});
   // Values that stress the escaping and number formatting.
   rec.instant(3.0000001, "sim", "weird \"quotes\"\n\ttabs \\ backslash", "sim",
@@ -219,6 +219,9 @@ TEST(TraceExport, ReadJsonlSkipsMalformedLines) {
       "{\"t\":1,\"ph\":\"i\",\"cat\":\"fault\",\"name\":\"a\",\"track\":\"t\","
       "\"span\":0,\"run\":0,\"args\":{}}\n"
       "not json at all\n"
+      // "C" (a counter sample) is not a phase the schema defines.
+      "{\"t\":1.5,\"ph\":\"C\",\"cat\":\"metric\",\"name\":\"active\","
+      "\"track\":\"board\",\"span\":0,\"run\":0,\"args\":{\"value\":\"3\"}}\n"
       "{\"t\":2,\"ph\":\"i\",\"cat\":\"fault\",\"name\":\"b\",\"track\":\"t\","
       "\"span\":0,\"run\":0,\"args\":{}}\n");
   const auto events = read_jsonl(in);
@@ -329,8 +332,8 @@ TEST(TraceExport, ChromeTraceIsWellFormed) {
   TraceRecorder rec;
   const auto span = rec.begin(1.0, "recover", "rec.restart", "rec");
   rec.end(2.0, span);
-  rec.instant(2.5, "fault", "fault.cured", "board");
-  rec.counter(3.0, "active", 1.0, "board");
+  rec.instant(2.5, "fault", "fault.cured", "board",
+              {{"manifest", "ses"}, {"note", "say \"cured\""}});
 
   std::ostringstream out;
   rec.write_chrome_trace(out);
@@ -339,7 +342,9 @@ TEST(TraceExport, ChromeTraceIsWellFormed) {
   EXPECT_NE(text.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
+  // Args are written as an escaped string-valued object.
+  EXPECT_NE(text.find(R"("args":{"manifest":"ses","note":"say \"cured\""})"),
+            std::string::npos);
   // Track naming metadata for the viewers.
   EXPECT_NE(text.find("thread_name"), std::string::npos);
   // Timestamps are microseconds: t=1.0 s -> 1000000.
