@@ -1,8 +1,6 @@
 #include "bus/message_bus.h"
 
 #include <cassert>
-#include <functional>
-#include <string_view>
 
 #include "util/log.h"
 
@@ -16,22 +14,7 @@ MessageBus::MessageBus(sim::Simulator& sim, BusConfig config)
 
 void MessageBus::attach(const std::string& name, Receiver receiver) {
   endpoints_.insert_or_assign(name, std::move(receiver));
-  ++endpoints_version_;  // invalidate cached routes: re-register semantics
   restarting_.erase(name);  // back on the bus: no longer mid-restart
-}
-
-MessageBus::Receiver* MessageBus::find_receiver(const std::string& to) {
-  RouteEntry& entry =
-      route_cache_[std::hash<std::string_view>{}(to) & (kRouteCacheSize - 1)];
-  if (entry.version == endpoints_version_ && entry.to == to) {
-    return &endpoints_.at_index(entry.index).second;
-  }
-  const auto it = endpoints_.find(to);
-  if (it == endpoints_.end()) return nullptr;
-  entry.to = to;
-  entry.index = static_cast<std::uint32_t>(endpoints_.index_of(it));
-  entry.version = endpoints_version_;
-  return &it->second;
 }
 
 void MessageBus::note_restarting(const std::string& name, std::uint64_t epoch) {
@@ -47,7 +30,7 @@ void MessageBus::set_touch_listener(TouchListener listener) {
 }
 
 void MessageBus::detach(const std::string& name) {
-  if (endpoints_.erase(name) > 0) ++endpoints_version_;
+  endpoints_.erase(name);
 }
 
 bool MessageBus::attached(const std::string& name) const {
@@ -153,8 +136,8 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
     ++stats_.dropped_bus_down;
     return;
   }
-  Receiver* receiver_slot = find_receiver(to);
-  if (receiver_slot == nullptr) {
+  const auto slot = endpoints_.find(to);
+  if (slot == endpoints_.end()) {
     // Mid-restart endpoint (ISSUE 9): the process backend marked it at kill
     // time. With typed errors on, the sender gets a kNack carrying the
     // component and its failure epoch — a fast, actionable retry signal —
@@ -184,7 +167,7 @@ void MessageBus::deliver(std::uint64_t epoch, const std::string& to,
   ++stats_.delivered;
   // Copy the receiver: the callback may detach/re-attach endpoints, which
   // moves flat-map slots out from under the pointer.
-  Receiver receiver = *receiver_slot;
+  Receiver receiver = slot->second;
   receiver(*message);
 }
 
@@ -193,7 +176,6 @@ void MessageBus::crash() {
   online_ = false;
   ++epoch_;  // voids in-flight deliveries
   endpoints_.clear();
-  ++endpoints_version_;
   LogLine(LogLevel::kInfo, sim_.now(), "mbus") << "bus crashed";
 }
 

@@ -27,7 +27,6 @@
 // health-beacon extension.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -134,9 +133,6 @@ class MessageBus {
                 const std::shared_ptr<const msg::Message>& message);
   void deliver(std::uint64_t epoch, const std::string& to,
                const std::shared_ptr<const msg::Message>& message);
-  /// Routing lookup through the route cache; nullptr when unattached. The
-  /// returned pointer is valid only until the next endpoint mutation.
-  Receiver* find_receiver(const std::string& to);
 
   sim::Simulator& sim_;
   BusConfig config_;
@@ -145,21 +141,8 @@ class MessageBus {
   /// Incremented on crash; in-flight deliveries from an older epoch are void.
   std::uint64_t epoch_ = 0;
   /// Endpoint table: sorted flat map (same iteration order as the std::map
-  /// it replaced, so broadcasts and endpoint_names() are unchanged), with a
-  /// small direct-mapped route cache in front of the binary search. A
-  /// sender's route to a target resolves through the cache on repeat sends;
-  /// any (re)register — attach, detach, crash — bumps endpoints_version_,
-  /// invalidating every cached route at once (a stale slot index must never
-  /// deliver to a dead receiver).
+  /// it replaced, so broadcasts and endpoint_names() are unchanged).
   util::FlatMap<std::string, Receiver> endpoints_;
-  std::uint64_t endpoints_version_ = 1;
-  struct RouteEntry {
-    std::string to;
-    std::uint32_t index = 0;
-    std::uint64_t version = 0;  // 0 = empty; live versions start at 1
-  };
-  static constexpr std::size_t kRouteCacheSize = 16;  // power of two
-  std::array<RouteEntry, kRouteCacheSize> route_cache_;
   /// Endpoints currently detached because their process is restarting, with
   /// the failure epoch of the restart attempt (note_restarting / attach).
   util::FlatMap<std::string, std::uint64_t> restarting_;

@@ -7,6 +7,8 @@
 #include <memory>
 #include <thread>
 
+#include "util/log.h"
+
 namespace mercury::exp {
 
 int env_jobs() {
@@ -48,10 +50,14 @@ void ExperimentRunner::run(std::size_t trials,
   std::vector<std::unique_ptr<obs::TraceRecorder>> captures(
       capture ? trials : 0);
   std::vector<std::exception_ptr> errors(trials);
+  // Every trial's log lines are held back and replayed in trial order, so
+  // stderr is the same at any job count.
+  std::vector<std::vector<util::LogRecord>> logs(trials);
 
   const auto run_one = [&](std::size_t index) {
     TrialContext ctx;
     ctx.index = index;
+    util::LogCapture log_capture(logs[index]);
     try {
       if (capture) {
         auto recorder = std::make_unique<obs::TraceRecorder>();
@@ -90,10 +96,14 @@ void ExperimentRunner::run(std::size_t trials,
   // Merge in trial-index order, on the launching thread, after the pool has
   // drained: the one place per-trial buffers touch shared state. This is
   // also what keeps MERCURY_TRACE_DIR safe under parallelism — nothing ever
-  // writes a trace file from a worker.
-  if (capture) {
-    for (std::size_t i = 0; i < trials; ++i) {
-      if (captures[i] != nullptr) ambient->merge_from(std::move(*captures[i]));
+  // writes a trace file or a log line from a worker.
+  for (std::size_t i = 0; i < trials; ++i) {
+    if (capture && captures[i] != nullptr) {
+      ambient->merge_from(std::move(*captures[i]));
+    }
+    for (const util::LogRecord& line : logs[i]) {
+      util::Logger::instance().log(line.level, line.t, line.component,
+                                   line.message);
     }
   }
 

@@ -16,13 +16,16 @@
 //     appended in completion order;
 //   * after the pool drains, the per-trial recorders are merged into the
 //     caller's ambient recorder in trial-index order, rebasing run and span
-//     ids past everything already recorded (TraceRecorder::merge_from).
+//     ids past everything already recorded (TraceRecorder::merge_from);
+//   * each trial's log lines are held in a thread-local util::LogCapture
+//     and replayed through the Logger on the launching thread, in
+//     trial-index order, after the pool drains.
 //
-// Consequence: aggregated results and the merged trace are byte-identical
-// for any MERCURY_JOBS value, and — because the merge reproduces exactly
-// the run/span numbering a serial loop would have produced — identical to
-// the pre-runner serial output as well. jobs=1 runs inline on the calling
-// thread with no pool at all (today's behaviour).
+// Consequence: aggregated results, the merged trace and stderr are
+// byte-identical for any MERCURY_JOBS value, and — because the merge
+// reproduces exactly the run/span numbering a serial loop would have
+// produced — identical to the pre-runner serial output as well. jobs=1 runs
+// inline on the calling thread with no pool at all.
 //
 // Job count resolution: config.jobs if positive, else $MERCURY_JOBS if set
 // to a positive integer, else std::thread::hardware_concurrency().
@@ -67,9 +70,10 @@ class ExperimentRunner {
   int jobs() const { return jobs_; }
 
   /// Execute `body` for trial indices [0, trials). Bodies run concurrently;
-  /// each sees its own TrialContext. Trace merge happens after the last
-  /// trial finishes. A throwing body does not tear down the pool: the
-  /// first exception (by trial index) is rethrown after all trials finish.
+  /// each sees its own TrialContext. Trace merge and log replay happen
+  /// after the last trial finishes. A throwing body does not tear down the
+  /// pool: the first exception (by trial index) is rethrown after all trials
+  /// finish.
   void run(std::size_t trials, const std::function<void(TrialContext&)>& body);
 
   /// run() collecting one result per trial, returned in index order.

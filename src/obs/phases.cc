@@ -19,10 +19,10 @@ struct PendingAction {
   RecoveryPhases row;
 };
 
-/// Shared body of both recovery_phases overloads; `Range` is any forward
-/// range of TraceEvent (flat vector or chunked EventBuffer).
-template <typename Range>
-std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
+}  // namespace
+
+std::vector<RecoveryPhases> recovery_phases(
+    const std::vector<TraceEvent>& events) {
   std::vector<RecoveryPhases> rows;
   // Latest unconsumed fault onset / failure report per (run, component).
   std::map<Key, double> manifest_at;
@@ -105,17 +105,6 @@ std::vector<RecoveryPhases> recovery_phases_impl(const Range& events) {
     }
   }
   return rows;
-}
-
-}  // namespace
-
-std::vector<RecoveryPhases> recovery_phases(
-    const std::vector<TraceEvent>& events) {
-  return recovery_phases_impl(events);
-}
-
-std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events) {
-  return recovery_phases_impl(events);
 }
 
 std::string phase_table(const std::vector<RecoveryPhases>& rows) {

@@ -53,10 +53,8 @@ struct RecoveryPhases {
 
 /// Reconstruct per-recovery-action phase rows from an event stream (as
 /// recorded, or as loaded back via read_jsonl). Events must be in emission
-/// order. Actions still open at the end of the stream are omitted. The
-/// EventBuffer overload analyzes a live recorder's chunked log in place.
+/// order. Actions still open at the end of the stream are omitted.
 std::vector<RecoveryPhases> recovery_phases(const std::vector<TraceEvent>& events);
-std::vector<RecoveryPhases> recovery_phases(const EventBuffer& events);
 
 /// Aggregate phase table (mean seconds per reported component plus a total
 /// row), formatted like the benches' paper-vs-measured tables.

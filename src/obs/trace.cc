@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <cassert>
 #include <charconv>
 #include <cstdio>
 #include <istream>
@@ -76,81 +75,6 @@ std::string TraceEvent::arg_or(const std::string& key,
     if (arg.key == key) return arg.value;
   }
   return fallback;
-}
-
-// --- EventBuffer ----------------------------------------------------------
-
-void EventBuffer::push_back(TraceEvent event) {
-  if (chunks_.empty() || chunks_.back().events.size() >= kChunkCapacity) {
-    Chunk chunk;
-    chunk.start = size_;
-    chunk.events.reserve(kChunkCapacity);
-    chunks_.push_back(std::move(chunk));
-  }
-  chunks_.back().events.push_back(std::move(event));
-  ++size_;
-}
-
-const TraceEvent& EventBuffer::operator[](std::size_t index) const {
-  assert(index < size_);
-  // Chunks are sorted by start index; splices leave irregular sizes, so
-  // binary-search rather than divide by the chunk capacity.
-  std::size_t lo = 0;
-  std::size_t hi = chunks_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (chunks_[mid].start <= index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return chunks_[lo].events[index - chunks_[lo].start];
-}
-
-void EventBuffer::clear() {
-  chunks_.clear();
-  size_ = 0;
-}
-
-std::vector<TraceEvent> EventBuffer::to_vector() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  for (const TraceEvent& event : *this) out.push_back(event);
-  return out;
-}
-
-void EventBuffer::rebase(std::uint64_t span_offset, std::uint64_t run_offset) {
-  for (Chunk& chunk : chunks_) {
-    for (TraceEvent& event : chunk.events) {
-      if (event.span != 0) event.span += span_offset;
-      event.run += run_offset;
-    }
-  }
-}
-
-void EventBuffer::splice_from(EventBuffer&& other) {
-  chunks_.reserve(chunks_.size() + other.chunks_.size());
-  for (Chunk& chunk : other.chunks_) {
-    if (chunk.events.empty()) continue;  // iteration assumes non-empty chunks
-    chunk.start = size_;
-    size_ += chunk.events.size();
-    chunks_.push_back(std::move(chunk));
-  }
-  other.clear();
-}
-
-EventBuffer::const_iterator::reference EventBuffer::const_iterator::operator*()
-    const {
-  return buffer_->chunks_[chunk_].events[pos_];
-}
-
-EventBuffer::const_iterator& EventBuffer::const_iterator::operator++() {
-  if (++pos_ >= buffer_->chunks_[chunk_].events.size()) {
-    ++chunk_;
-    pos_ = 0;
-  }
-  return *this;
 }
 
 TraceRecorder::TraceRecorder(std::size_t max_events) : max_events_(max_events) {}
@@ -247,34 +171,18 @@ std::string TraceRecorder::metrics_summary() const {
   return out.str();
 }
 
-void TraceRecorder::merge_from(const TraceRecorder& other) {
+void TraceRecorder::merge_from(TraceRecorder&& other) {
+  // Number other's spans and runs after everything this recorder has
+  // issued, as if it had recorded other's trials itself; a later merge (or
+  // live emission) continues that same numbering.
   const std::uint64_t span_offset = next_span_ - 1;
   const std::uint64_t run_offset = run_;
-  for (const TraceEvent& event : other.events_) {
-    TraceEvent copy = event;
-    if (copy.span != 0) copy.span += span_offset;
-    copy.run += run_offset;
-    push(std::move(copy));
+  for (TraceEvent& event : other.events_) {
+    if (event.span != 0) event.span += span_offset;
+    event.run += run_offset;
+    push(std::move(event));
   }
-  merge_metadata_from(other);
-}
-
-void TraceRecorder::merge_from(TraceRecorder&& other) {
-  if (events_.size() + other.events_.size() <= max_events_) {
-    other.events_.rebase(next_span_ - 1, run_);
-    events_.splice_from(std::move(other.events_));
-    merge_metadata_from(other);
-    return;
-  }
-  // Near the cap the per-event push path must decide drops one by one, in
-  // the same order the copying merge would — fall back to it.
-  merge_from(static_cast<const TraceRecorder&>(other));
-}
-
-void TraceRecorder::merge_metadata_from(const TraceRecorder& other) {
-  // Advance the counters as if this recorder had issued other's ids itself,
-  // so a later merge (or live emission) continues the same numbering the
-  // serial interleaving would have used.
+  other.events_.clear();
   next_span_ += other.next_span_ - 1;
   run_ += other.run_;
   dropped_ += other.dropped_;
@@ -285,20 +193,7 @@ void TraceRecorder::merge_metadata_from(const TraceRecorder& other) {
   }
 }
 
-void TraceRecorder::clear() {
-  events_.clear();
-  open_spans_.clear();
-  counters_.clear();
-  samples_.clear();
-  next_span_ = 1;
-  run_ = 0;
-  dropped_ = 0;
-}
-
-namespace {
-
-template <typename Range>
-void write_jsonl_impl(const Range& events, std::ostream& out) {
+void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out) {
   for (const TraceEvent& event : events) {
     out << "{\"t\":" << json_number(event.t) << ",\"ph\":\""
         << to_string(event.kind) << "\",\"cat\":\"" << json_escape(event.category)
@@ -310,18 +205,8 @@ void write_jsonl_impl(const Range& events, std::ostream& out) {
   }
 }
 
-}  // namespace
-
-void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out) {
-  write_jsonl_impl(events, out);
-}
-
-void write_jsonl(const EventBuffer& events, std::ostream& out) {
-  write_jsonl_impl(events, out);
-}
-
 void TraceRecorder::write_jsonl(std::ostream& out) const {
-  write_jsonl_impl(events_, out);
+  obs::write_jsonl(events_, out);
 }
 
 void TraceRecorder::write_chrome_trace(std::ostream& out) const {

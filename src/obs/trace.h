@@ -16,7 +16,7 @@
 //     util::Logger, but per thread): with no recorder installed every emit
 //     site is a single pointer compare. Each simulation runs single-threaded
 //     on its own thread; the parallel experiment runner (src/exp) installs a
-//     private recorder per trial and merges the buffers afterwards, so no
+//     private recorder per trial and merges the recorders afterwards, so no
 //     recorder instance is ever shared across threads.
 //   * Span begin/end pairing is by id, so overlapping recoveries (escalation
 //     chains, concurrent group members) nest correctly.
@@ -65,72 +65,6 @@ struct TraceEvent {
   std::string arg_or(const std::string& key, const std::string& fallback = "") const;
 };
 
-/// Chunked append-only event storage (hot-path pass, ISSUE 10). A flat
-/// std::vector<TraceEvent> re-moves every stored event (strings, arg
-/// vectors) each time it doubles; chunking appends into fixed-capacity
-/// blocks, so a recorded event is never moved again. Merging one buffer
-/// into another (the parallel runner joining per-trial recorders) splices
-/// whole chunks instead of copying events. Iteration order is emission
-/// order, exactly like the vector it replaces.
-class EventBuffer {
- public:
-  /// Events per chunk. 4096 events ≈ a few hundred KB per block: big enough
-  /// to amortize the allocation, small enough that short traces stay cheap.
-  static constexpr std::size_t kChunkCapacity = 4096;
-
-  void push_back(TraceEvent event);
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  /// Random access (tests, spot checks). O(log #chunks).
-  const TraceEvent& operator[](std::size_t index) const;
-  void clear();
-
-  /// Flat copy, for consumers that outlive the buffer (TracedTrial).
-  std::vector<TraceEvent> to_vector() const;
-
-  /// Add `span_offset` to every nonzero span id and `run_offset` to every
-  /// run index, in place (the merge rebase — integers only, no copies).
-  void rebase(std::uint64_t span_offset, std::uint64_t run_offset);
-
-  /// Steal every event of `other`, appending in order. Chunk splice: O(#chunks
-  /// of other), no per-event work. `other` is left empty.
-  void splice_from(EventBuffer&& other);
-
-  /// Forward iteration in emission order (range-for compatible).
-  class const_iterator {
-   public:
-    using value_type = TraceEvent;
-    using reference = const TraceEvent&;
-
-    reference operator*() const;
-    const TraceEvent* operator->() const { return &**this; }
-    const_iterator& operator++();
-    bool operator==(const const_iterator& other) const {
-      return chunk_ == other.chunk_ && pos_ == other.pos_;
-    }
-    bool operator!=(const const_iterator& other) const { return !(*this == other); }
-
-   private:
-    friend class EventBuffer;
-    const_iterator(const EventBuffer* buffer, std::size_t chunk, std::size_t pos)
-        : buffer_(buffer), chunk_(chunk), pos_(pos) {}
-    const EventBuffer* buffer_ = nullptr;
-    std::size_t chunk_ = 0;
-    std::size_t pos_ = 0;
-  };
-  const_iterator begin() const { return const_iterator{this, 0, 0}; }
-  const_iterator end() const { return const_iterator{this, chunks_.size(), 0}; }
-
- private:
-  struct Chunk {
-    std::uint64_t start = 0;  ///< global index of the chunk's first event
-    std::vector<TraceEvent> events;
-  };
-
-  std::vector<Chunk> chunks_;
-  std::size_t size_ = 0;
-};
-
 /// Append-only event log plus aggregate counters and sample sets.
 class TraceRecorder {
  public:
@@ -166,9 +100,8 @@ class TraceRecorder {
   std::uint64_t run() const { return run_; }
 
   // --- Access ------------------------------------------------------------
-  const EventBuffer& events() const { return events_; }
+  const std::vector<TraceEvent>& events() const { return events_; }
   std::uint64_t dropped() const { return dropped_; }
-  void clear();
 
   /// Append another recorder's events, counters, samples and drop count,
   /// rebasing its run indices and span ids past everything this recorder
@@ -176,12 +109,9 @@ class TraceRecorder {
   /// recorder recording `other`'s trials after its own) would have
   /// produced. Merging per-trial recorders in trial order therefore yields
   /// a byte-identical export regardless of how many threads recorded them
-  /// (the parallel runner's determinism contract, src/exp/runner.h).
-  void merge_from(const TraceRecorder& other);
-  /// Destructive merge: same semantics and resulting bytes, but when the
-  /// events fit under the cap they are rebased in place and spliced over
-  /// chunk-wise — no per-event copies. The parallel runner uses this on its
-  /// per-trial recorders, which are dead after the merge anyway.
+  /// (the parallel runner's determinism contract, src/exp/runner.h). Events
+  /// go through the event cap one by one, so the merge drops exactly the
+  /// events a serial recording would have dropped. `other` is left spent.
   void merge_from(TraceRecorder&& other);
 
   /// Per-event simulator tracing ("sim" category) is opt-in: a busy run
@@ -200,16 +130,12 @@ class TraceRecorder {
  private:
   void push(TraceEvent event);
 
-  /// Merge bookkeeping shared by both merge_from overloads (span/run
-  /// counters, drop counts, aggregate counters and samples).
-  void merge_metadata_from(const TraceRecorder& other);
-
   std::size_t max_events_;
   bool sim_events_ = false;
   std::uint64_t next_span_ = 1;
   std::uint64_t run_ = 0;
   std::uint64_t dropped_ = 0;
-  EventBuffer events_;
+  std::vector<TraceEvent> events_;
   /// Open spans: id -> (category, name, track), replayed into the end event.
   std::map<std::uint64_t, std::array<std::string, 3>> open_spans_;
   std::map<std::string, std::uint64_t> counters_;
@@ -217,10 +143,8 @@ class TraceRecorder {
 };
 
 /// Serialize an event list in the JSONL schema (one object per line);
-/// TraceRecorder::write_jsonl delegates here. Useful for event lists that
-/// no longer live in a recorder (run_trial_traced captures, checker tests).
+/// TraceRecorder::write_jsonl delegates here.
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
-void write_jsonl(const EventBuffer& events, std::ostream& out);
 
 /// Parse events back from the JSONL export (the subset write_jsonl emits).
 /// Malformed lines are skipped. Round-trip property: write_jsonl then

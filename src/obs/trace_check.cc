@@ -104,10 +104,9 @@ struct RunFacts {
   std::map<std::uint64_t, std::pair<std::string, double>> open_faults;
 };
 
-/// Shared body of both check_trace overloads; `Range` is any forward range
-/// of TraceEvent (flat vector or chunked EventBuffer).
-template <typename Range>
-std::vector<TraceIssue> check_trace_impl(const Range& events) {
+}  // namespace
+
+std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events) {
   std::vector<TraceIssue> issues;
   const auto flag = [&](std::string invariant, std::uint64_t run,
                         std::string component, double t, std::string detail) {
@@ -336,16 +335,6 @@ std::vector<TraceIssue> check_trace_impl(const Range& events) {
   }
 
   return issues;
-}
-
-}  // namespace
-
-std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events) {
-  return check_trace_impl(events);
-}
-
-std::vector<TraceIssue> check_trace(const EventBuffer& events) {
-  return check_trace_impl(events);
 }
 
 std::string describe(const std::vector<TraceIssue>& issues) {

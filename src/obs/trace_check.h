@@ -78,9 +78,7 @@ struct TraceIssue {
 
 /// Validate `events` (in emission order, as recorded or re-read from
 /// JSONL). Returns every violation found; empty means the trace is clean.
-/// The EventBuffer overload checks a live recorder's chunked log in place.
 std::vector<TraceIssue> check_trace(const std::vector<TraceEvent>& events);
-std::vector<TraceIssue> check_trace(const EventBuffer& events);
 
 /// One line per issue, for bench/test output.
 std::string describe(const std::vector<TraceIssue>& issues);

@@ -362,7 +362,7 @@ TracedTrial run_trial_traced(const TrialSpec& spec) {
     obs::ScopedRecorder scope(recorder);
     traced.result = run_trial(spec);
   }
-  traced.events = recorder.events().to_vector();
+  traced.events = recorder.events();
   return traced;
 }
 

@@ -3,11 +3,11 @@
 // wire encodings, endpoint listings, traces — stays byte-identical when a
 // std::map is replaced), but lookups are a cache-friendly binary search with
 // heterogeneous keys (no temporary std::string per string_view probe) and
-// there are no per-node allocations. Iterators and indices are invalidated
-// by any mutation, exactly like a vector's.
+// there are no per-node allocations. Iterators are invalidated by any
+// mutation, exactly like a vector's.
 //
-// Used by the hot-path pass (ISSUE 10): mbus endpoint/restarting routing and
-// xml::Element attributes.
+// Used for the mbus endpoint and restarting tables (every delivery is one
+// find() over about ten endpoints) and for xml::Element attributes.
 #pragma once
 
 #include <algorithm>
@@ -95,14 +95,6 @@ class FlatMap {
     if (it == items_.end()) return 0;
     items_.erase(it);
     return 1;
-  }
-
-  /// Positional access, for index-based caches layered on top (the route
-  /// cache in bus/message_bus.cc). Indices die with the next mutation.
-  const value_type& at_index(std::size_t i) const { return items_[i]; }
-  value_type& at_index(std::size_t i) { return items_[i]; }
-  std::size_t index_of(const_iterator it) const {
-    return static_cast<std::size_t>(it - items_.begin());
   }
 
   bool operator==(const FlatMap& other) const { return items_ == other.items_; }

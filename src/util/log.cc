@@ -4,6 +4,12 @@
 
 namespace mercury::util {
 
+namespace {
+
+thread_local std::vector<LogRecord>* g_capture = nullptr;
+
+}  // namespace
+
 std::string_view to_string(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -39,8 +45,19 @@ void Logger::set_sink(Sink sink) {
 void Logger::log(LogLevel level, TimePoint t, std::string_view component,
                  std::string_view message) {
   if (!enabled(level)) return;
+  if (g_capture != nullptr) {
+    g_capture->push_back(
+        LogRecord{level, t, std::string(component), std::string(message)});
+    return;
+  }
   sink_(level, t, component, message);
 }
+
+LogCapture::LogCapture(std::vector<LogRecord>& lines) : previous_(g_capture) {
+  g_capture = &lines;
+}
+
+LogCapture::~LogCapture() { g_capture = previous_; }
 
 LogLine::~LogLine() {
   if (os_) Logger::instance().log(level_, t_, component_, os_->str());

@@ -2,7 +2,9 @@
 //
 // Components log against virtual (simulation) time, so the sink takes an
 // explicit timestamp instead of reading a wall clock. Global level filtering
-// keeps benches quiet and lets examples run verbose.
+// keeps benches quiet and lets examples run verbose. A thread may hold its
+// lines back in a LogCapture and replay them later, which is how the
+// parallel experiment runner (src/exp) keeps stderr in trial order.
 #pragma once
 
 #include <functional>
@@ -10,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/time.h"
 
@@ -19,9 +22,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 std::string_view to_string(LogLevel level);
 
-/// Process-wide log configuration. Not thread-safe by design: the simulator
-/// is single-threaded, and the POSIX supervisor configures logging before
-/// spawning children.
+/// Process-wide log configuration. Level and sink are set before any
+/// worker thread starts (the simulator is single-threaded, and the POSIX
+/// supervisor configures logging before spawning children); log() itself
+/// may run on any thread and honours that thread's LogCapture.
 class Logger {
  public:
   using Sink = std::function<void(LogLevel, TimePoint, std::string_view component,
@@ -37,6 +41,8 @@ class Logger {
   /// the default sink.
   void set_sink(Sink sink);
 
+  /// Send a line that passes the level filter to the sink, or append it to
+  /// the calling thread's LogCapture when one is installed.
   void log(LogLevel level, TimePoint t, std::string_view component,
            std::string_view message);
 
@@ -44,6 +50,29 @@ class Logger {
   Logger();
   LogLevel level_ = LogLevel::kWarn;
   Sink sink_;
+};
+
+/// One log line held back by a LogCapture.
+struct LogRecord {
+  LogLevel level = LogLevel::kInfo;
+  TimePoint t;
+  std::string component;
+  std::string message;
+};
+
+/// RAII thread-local capture: while it lives, Logger::log on this thread
+/// appends to `lines` instead of calling the sink. The owner replays them
+/// through Logger::log when their order is settled. Captures nest; the
+/// previous one is restored on destruction.
+class LogCapture {
+ public:
+  explicit LogCapture(std::vector<LogRecord>& lines);
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::vector<LogRecord>* previous_;
 };
 
 /// Stream-style helper: LogLine(kInfo, now, "ses") << "locked on pass";

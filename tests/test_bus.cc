@@ -384,11 +384,11 @@ TEST(BusLoss, DefaultBusIsLossless) {
   EXPECT_EQ(bus.stats().dropped_lossy, 0u);
 }
 
-// --- Flat-map routing + route cache (ISSUE 10) -----------------------------
-// The endpoint table is a sorted flat map with a small direct-mapped route
-// cache in front of the lookup. These tests pin the invalidation contract:
-// a cached route must never deliver to a detached endpoint, a replaced
-// receiver, or a slot whose index shifted under an insert.
+// --- Flat-map routing -------------------------------------------------------
+// Every delivery looks its target up in the endpoint table, a sorted flat
+// map. These tests pin the delivery contract: a repeat send must never reach
+// a detached endpoint or a replaced receiver, nor follow a slot whose index
+// shifted under an insert, and routing agrees with a std::map model.
 
 namespace routing {
 

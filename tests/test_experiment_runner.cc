@@ -11,12 +11,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/mercury_trees.h"
 #include "exp/runner.h"
 #include "obs/trace.h"
 #include "station/experiment.h"
+#include "util/log.h"
 
 namespace mercury::exp {
 namespace {
@@ -122,6 +125,46 @@ TEST(ExperimentRunner, TrialsGetPrivateRecordersOnlyUnderAnAmbientOne) {
   EXPECT_EQ(ambient.events().size(), 8u);  // all merged back, index order
   for (std::size_t i = 0; i < ambient.events().size(); ++i) {
     EXPECT_EQ(ambient.events()[i].arg_or("index"), std::to_string(i));
+  }
+}
+
+TEST(ExperimentRunner, TrialLogLinesReachTheSinkInTrialOrderOnTheLaunchingThread) {
+  struct SinkCall {
+    std::thread::id thread;
+    std::string message;
+  };
+  std::vector<SinkCall> calls;
+  std::mutex mutex;
+  util::Logger& logger = util::Logger::instance();
+  const util::LogLevel saved_level = logger.level();
+  logger.set_level(util::LogLevel::kWarn);
+  logger.set_sink([&](util::LogLevel, util::TimePoint, std::string_view,
+                      std::string_view message) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    calls.push_back({std::this_thread::get_id(), std::string(message)});
+  });
+
+  const auto trial = [](TrialContext& ctx) {
+    const auto log = [&](util::LogLevel level, const char* tag) {
+      util::LogLine(level, util::TimePoint::origin(), "test")
+          << "trial " << ctx.index << " " << tag;
+    };
+    log(util::LogLevel::kInfo, "filtered");  // below kWarn: never captured
+    log(util::LogLevel::kWarn, "a");
+    log(util::LogLevel::kError, "b");
+    if (ctx.index == 7) throw std::runtime_error("trial 7");
+  };
+  // A throwing trial's lines are replayed before its error is rethrown.
+  ExperimentRunner runner(RunnerConfig{.jobs = 4});
+  EXPECT_THROW(runner.run(16, trial), std::runtime_error);
+  logger.set_sink(nullptr);
+  logger.set_level(saved_level);
+
+  ASSERT_EQ(calls.size(), 32u);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].thread, std::this_thread::get_id()) << i;
+    EXPECT_EQ(calls[i].message, "trial " + std::to_string(i / 2) +
+                                    (i % 2 == 0 ? " a" : " b"));
   }
 }
 

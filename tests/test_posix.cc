@@ -46,6 +46,32 @@ bool wait_for_line(ChildProcess& child, const std::string& want,
   return false;
 }
 
+/// A /tmp path private to this test process. It and the checkpoint
+/// writer's ".tmp" staging sibling are removed on construction and on
+/// destruction. Declare it before the supervisor whose workers write it:
+/// locals die in reverse order, so the supervisor has killed and reaped
+/// every worker before the files go, even when an assertion returns early.
+class ScratchPath {
+ public:
+  explicit ScratchPath(const std::string& stem)
+      : path_("/tmp/" + stem + "_" + std::to_string(getpid())) {
+    remove();
+  }
+  ~ScratchPath() { remove(); }
+  ScratchPath(const ScratchPath&) = delete;
+  ScratchPath& operator=(const ScratchPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  void remove() const {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".tmp").c_str());
+  }
+
+  std::string path_;
+};
+
 // --- ChildProcess ------------------------------------------------------------
 
 TEST(ChildProcess, SpawnReadyPingPong) {
@@ -258,9 +284,8 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
   // Worker c's first-ever startup hangs (pause() before READY, gated on a
   // sentinel file); the startup deadline must abort it, report the failure,
   // and the respawn — which finds the sentinel and proceeds — recovers.
-  const std::string sentinel =
-      "/tmp/mercury_hang_once_" + std::to_string(getpid());
-  std::remove(sentinel.c_str());
+  const ScratchPath scratch("mercury_hang_once");
+  const std::string& sentinel = scratch.path();
 
   WorkerSpec hang = quick_worker("c", 30);
   hang.argv.push_back("--hang-start-once");
@@ -280,7 +305,6 @@ TEST(PosixSupervisor, HungStartupTimesOutEscalatesAndRecovers) {
   ASSERT_FALSE(supervisor.history().empty());
   EXPECT_EQ(supervisor.history()[0].reported_worker, "c");
   EXPECT_TRUE(supervisor.worker_up("c"));
-  std::remove(sentinel.c_str());
 }
 
 TEST(PosixSupervisor, HealthBeaconsDriveProactiveRejuvenation) {
@@ -345,8 +369,8 @@ core::RestartTree two_leaf_tree() {
 }
 
 TEST(PosixSupervisor, WarmRestartUsesCheckpointAndShortensDowntime) {
-  const std::string file = "/tmp/mercury_ckpt_warm_" + std::to_string(getpid());
-  std::remove(file.c_str());
+  const ScratchPath scratch("mercury_ckpt_warm");
+  const std::string& file = scratch.path();
 
   WorkerSpec slow;
   slow.name = "c";
@@ -380,11 +404,11 @@ TEST(PosixSupervisor, WarmRestartUsesCheckpointAndShortensDowntime) {
   // Warm restart: detection (<=110 ms) + 50 ms warm startup + loop slack —
   // well under even the bare 600 ms cold startup delay.
   EXPECT_LT(supervisor.history()[0].downtime.count(), 600);
-  std::remove(file.c_str());
 }
 
 TEST(PosixSupervisor, InvalidCheckpointFileIsDeletedBeforeSpawn) {
-  const std::string file = "/tmp/mercury_ckpt_bad_" + std::to_string(getpid());
+  const ScratchPath scratch("mercury_ckpt_bad");
+  const std::string& file = scratch.path();
   {
     // Well-formed line, wrong checksum: the supervisor must delete it so
     // the worker cold-starts instead of warm-starting from garbage.
@@ -413,11 +437,11 @@ TEST(PosixSupervisor, InvalidCheckpointFileIsDeletedBeforeSpawn) {
   EXPECT_EQ(ckpt::read_checkpoint_file(file, "c", &checkpoint),
             ckpt::FileState::kValid);
   EXPECT_EQ(checkpoint.payload, "rebuilt-state");
-  std::remove(file.c_str());
 }
 
 TEST(CheckpointFile, RoundTripAndSeededFuzz) {
-  const std::string file = "/tmp/mercury_ckpt_fuzz_" + std::to_string(getpid());
+  const ScratchPath scratch("mercury_ckpt_fuzz");
+  const std::string& file = scratch.path();
 
   // Round trip.
   ASSERT_TRUE(ckpt::write_checkpoint_file(file, "ses", "session=3,peer=str"));
@@ -466,7 +490,6 @@ TEST(CheckpointFile, RoundTripAndSeededFuzz) {
     EXPECT_TRUE(state == ckpt::FileState::kValid ||
                 state == ckpt::FileState::kInvalid);
   }
-  std::remove(file.c_str());
 }
 
 TEST(CheckpointFile, TruncatedFilesAreRejectedBeforeChecksum) {
@@ -474,7 +497,8 @@ TEST(CheckpointFile, TruncatedFilesAreRejectedBeforeChecksum) {
   // (power loss, full disk) must never validate. The v2 format records the
   // payload length and checks it BEFORE the checksum, so truncation is
   // caught by the cheap structural check, not by checksum luck.
-  const std::string file = "/tmp/mercury_ckpt_trunc_" + std::to_string(getpid());
+  const ScratchPath scratch("mercury_ckpt_trunc");
+  const std::string& file = scratch.path();
   ASSERT_TRUE(ckpt::write_checkpoint_file(file, "ses", "session=3,peer=str"));
   std::string valid_line;
   {
@@ -538,13 +562,13 @@ TEST(CheckpointFile, TruncatedFilesAreRejectedBeforeChecksum) {
       EXPECT_EQ(state, ckpt::FileState::kInvalid) << "round " << round;
     }
   }
-  std::remove(file.c_str());
 }
 
 TEST(CheckpointFile, V1FilesNeverValidateUnderV2) {
   // Format migration safety: a v1 line (no length token) with a correct v1
   // checksum is kInvalid under v2 — one cold start, never a wrong warm one.
-  const std::string file = "/tmp/mercury_ckpt_v1_" + std::to_string(getpid());
+  const ScratchPath scratch("mercury_ckpt_v1");
+  const std::string& file = scratch.path();
   const std::string body = "1 ses session=3";  // v1 checksum body
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%llx",
@@ -557,7 +581,6 @@ TEST(CheckpointFile, V1FilesNeverValidateUnderV2) {
   }
   EXPECT_EQ(ckpt::read_checkpoint_file(file, "ses", nullptr),
             ckpt::FileState::kInvalid);
-  std::remove(file.c_str());
 }
 
 TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
@@ -565,9 +588,8 @@ TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
   // keeps a replica of the last validated payload; when the on-disk file
   // vanishes, the spawn gate rewrites it from the replica and the worker
   // still warm-starts.
-  const std::string file =
-      "/tmp/mercury_ckpt_partner_" + std::to_string(getpid());
-  std::remove(file.c_str());
+  const ScratchPath scratch("mercury_ckpt_partner");
+  const std::string& file = scratch.path();
 
   WorkerSpec slow;
   slow.name = "c";
@@ -621,7 +643,6 @@ TEST(PosixSupervisor, PartnerCopyRestoresLostCheckpointFile) {
   ckpt::CheckpointFile checkpoint;
   EXPECT_EQ(ckpt::read_checkpoint_file(file, "c", &checkpoint),
             ckpt::FileState::kValid);
-  std::remove(file.c_str());
 }
 
 TEST(PosixSupervisor, GarbledProtocolLinesNeverKillTheSupervisor) {
@@ -713,8 +734,8 @@ TEST(PosixSupervisor, EscalationSupersedesOverlappingConcurrentRestart) {
   // to the root, whose group strictly covers the still-running {a,b} action:
   // the escalated restart must absorb it and re-kill its members, not queue
   // behind it or deadlock.
-  const std::string sentinel =
-      "/tmp/mercury_hang_restart_" + std::to_string(getpid());
+  const ScratchPath scratch("mercury_hang_restart");
+  const std::string& sentinel = scratch.path();
   {
     // Pre-create the sentinel so start_all is clean; removing it later arms
     // the one-shot hang for c's *next* startup.
@@ -765,7 +786,6 @@ TEST(PosixSupervisor, EscalationSupersedesOverlappingConcurrentRestart) {
   }
   EXPECT_TRUE(saw_root_cure);
   EXPECT_TRUE(supervisor.hard_failures().empty());
-  std::remove(sentinel.c_str());
 }
 
 // --- Traffic-driven on-demand recovery (ISSUE 9) -----------------------------
@@ -886,7 +906,8 @@ TEST(PosixSupervisor, BackToBackFailures) {
 // --- One trace schema and checker for both backends ---------------------------
 
 /// "track|key,key,..." of every rec.restart span begin, in emission order.
-std::vector<std::string> restart_span_signatures(const obs::EventBuffer& events) {
+std::vector<std::string> restart_span_signatures(
+    const std::vector<obs::TraceEvent>& events) {
   std::vector<std::string> signatures;
   for (const obs::TraceEvent& event : events) {
     if (event.kind != obs::EventKind::kBegin || event.name != "rec.restart") continue;

@@ -99,82 +99,59 @@ TEST(TraceRecorder, RunIndexStampsSubsequentEvents) {
   EXPECT_EQ(rec.events()[1].run, 1u);
 }
 
-// --- Chunked EventBuffer (ISSUE 10) ---------------------------------------
-// Events are stored in fixed-capacity chunks (no re-moves on growth, merge
-// by chunk splice). These pin the behavior right at the chunk seams.
+// --- Merge -----------------------------------------------------------------
+// The parallel runner records each trial into its own recorder and merges
+// them in trial order. That must give exactly what recording the same trials
+// serially into one recorder gives, up to and across the event cap.
 
-TEST(EventBuffer, IndexingAndIterationCrossChunkBoundaries) {
-  EventBuffer buffer;
-  const std::size_t total = EventBuffer::kChunkCapacity * 2 + 7;
-  for (std::size_t i = 0; i < total; ++i) {
-    TraceEvent event;
-    event.t = static_cast<double>(i);
-    event.name = "e" + std::to_string(i);
-    buffer.push_back(std::move(event));
-  }
-  ASSERT_EQ(buffer.size(), total);
-  // Random access at the seams.
-  for (std::size_t i : {std::size_t{0}, EventBuffer::kChunkCapacity - 1,
-                        EventBuffer::kChunkCapacity,
-                        2 * EventBuffer::kChunkCapacity, total - 1}) {
-    EXPECT_EQ(buffer[i].name, "e" + std::to_string(i)) << i;
-  }
-  // Full iteration visits every event in emission order.
-  std::size_t index = 0;
-  for (const TraceEvent& event : buffer) {
-    ASSERT_EQ(event.t, static_cast<double>(index));
-    ++index;
-  }
-  EXPECT_EQ(index, total);
-  EXPECT_EQ(buffer.to_vector().size(), total);
+void record_trial(TraceRecorder& rec, int trial) {
+  const double t = static_cast<double>(trial);
+  rec.next_run();
+  const std::uint64_t span = rec.begin(t + 1.0, "recover", "rec.restart",
+                                       "rec", {{"component", "ses"}});
+  rec.instant(t + 1.5, "detect", "fd.report", "fd");
+  rec.end(t + 2.0, span);
+  rec.incr("restarts");
+  rec.observe("recovery_s", t + 1.0);
 }
 
-TEST(EventBuffer, SpliceMovesEverythingAndEmptiesTheSource) {
-  EventBuffer a;
-  EventBuffer b;
-  const std::size_t per_side = EventBuffer::kChunkCapacity + 3;
-  for (std::size_t i = 0; i < per_side; ++i) {
-    TraceEvent ea;
-    ea.t = static_cast<double>(i);
-    a.push_back(std::move(ea));
-    TraceEvent eb;
-    eb.t = 1000.0 + static_cast<double>(i);
-    b.push_back(std::move(eb));
+void expect_merge_matches_serial(std::size_t max_events,
+                                 std::uint64_t expected_dropped) {
+  constexpr int kTrials = 5;
+  TraceRecorder serial(max_events);
+  TraceRecorder merged(max_events);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    record_trial(serial, trial);
+    TraceRecorder own;
+    record_trial(own, trial);
+    merged.merge_from(std::move(own));
   }
-  a.splice_from(std::move(b));
-  EXPECT_EQ(a.size(), 2 * per_side);
-  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move): documented
-  EXPECT_EQ(a[per_side].t, 1000.0);          // first spliced event
-  EXPECT_EQ(a[2 * per_side - 1].t, 1000.0 + per_side - 1);
+  // Live emission after a merge continues the serial span/run numbering.
+  record_trial(serial, kTrials);
+  record_trial(merged, kTrials);
+
+  std::ostringstream serial_out;
+  serial.write_jsonl(serial_out);
+  std::ostringstream merged_out;
+  merged.write_jsonl(merged_out);
+  EXPECT_EQ(merged_out.str(), serial_out.str());
+  EXPECT_EQ(merged.run(), serial.run());
+  EXPECT_EQ(merged.counters(), serial.counters());
+  EXPECT_EQ(merged.dropped(), serial.dropped());
+  EXPECT_EQ(merged.dropped(), expected_dropped);
+  ASSERT_EQ(merged.samples().size(), serial.samples().size());
+  EXPECT_EQ(merged.samples().at("recovery_s").samples(),
+            serial.samples().at("recovery_s").samples());
 }
 
-TEST(TraceRecorder, DestructiveMergeMatchesCopyingMergeByteForByte) {
-  const auto fill = [](TraceRecorder& rec) {
-    rec.next_run();
-    const std::uint64_t span = rec.begin(1.0, "recover", "rec.restart", "rec",
-                                         {{"component", "ses"}});
-    rec.instant(1.5, "detect", "fd.report", "fd");
-    rec.end(2.0, span);
-    rec.incr("restarts");
-    rec.observe("recovery_s", 1.0);
-  };
-  TraceRecorder copied;
-  TraceRecorder spliced;
-  for (int trial = 0; trial < 3; ++trial) {
-    TraceRecorder a;
-    fill(a);
-    copied.merge_from(a);  // per-event copying merge
-    TraceRecorder b;
-    fill(b);
-    spliced.merge_from(std::move(b));  // chunk-splice merge
-  }
-  std::ostringstream copied_out;
-  copied.write_jsonl(copied_out);
-  std::ostringstream spliced_out;
-  spliced.write_jsonl(spliced_out);
-  EXPECT_EQ(copied_out.str(), spliced_out.str());
-  EXPECT_EQ(copied.run(), spliced.run());
-  EXPECT_EQ(copied.count("restarts"), spliced.count("restarts"));
+TEST(TraceRecorder, MergingPerTrialRecordersMatchesSerialRecording) {
+  expect_merge_matches_serial(TraceRecorder::kDefaultMaxEvents, 0);
+}
+
+TEST(TraceRecorder, MergeAcrossTheEventCapDropsWhatSerialRecordingDrops) {
+  // Six trials of three events against a cap of 7: the cap falls inside
+  // the third trial, so 11 events are dropped.
+  expect_merge_matches_serial(7, 11);
 }
 
 TEST(TraceExport, JsonlRoundTripReproducesEvents) {
